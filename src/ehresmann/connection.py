@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as ex
+from . import kernel
 from .bundle import BundleChart, Section
 from .errors import ChartError, NotIntegrableError, OutsideChartError
 
@@ -279,41 +280,28 @@ def add_vertical(connection: EhresmannConnection, gamma_shift):
 # numeric integral sections
 
 
-def _rk4_sweep(connection, axis, x, y, target, steps_per_unit):
+def _rk4_sweep(chart, column, axis, x, y, target, steps_per_unit):
     """Advance the fiber values along the coordinate line x[axis] -> target,
-    holding the other base coordinates fixed.  Classical fixed-step RK4."""
-    chart = connection.chart
+    holding the other base coordinates fixed; ``column`` is the compiled
+    column Gamma^i_axis over the chart coordinates."""
     length = target - x[axis]
     if length == 0.0:
         return y
     steps = max(1, round(abs(length) * steps_per_unit))
     h = length / steps
+    bounds = [chart.bounds(name) for name in chart.coordinate_names]
 
     def slope(s, fiber):
-        bindings = dict(zip(chart.base_names, x))
-        bindings[chart.base_names[axis]] = s
-        bindings.update(zip(chart.fiber_names, fiber))
-        if not chart.contains(bindings):
-            raise OutsideChartError(
-                f"integration left the chart box at {bindings}"
-            )
-        return [
-            ex.evaluate(connection.gamma[i][axis], bindings)
-            for i in range(chart.n)
-        ]
+        point = x[:axis] + [s] + x[axis + 1:] + fiber
+        for value, (low, high) in zip(point, bounds):
+            if not (low <= value <= high):
+                bindings = dict(zip(chart.coordinate_names, point))
+                raise OutsideChartError(
+                    f"integration left the chart box at {bindings}"
+                )
+        return column(*point)
 
-    s = x[axis]
-    fiber = list(y)
-    for _ in range(steps):
-        k1 = slope(s, fiber)
-        k2 = slope(s + h / 2.0, [fiber[i] + h / 2.0 * k1[i] for i in range(chart.n)])
-        k3 = slope(s + h / 2.0, [fiber[i] + h / 2.0 * k2[i] for i in range(chart.n)])
-        k4 = slope(s + h, [fiber[i] + h * k3[i] for i in range(chart.n)])
-        fiber = [
-            fiber[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            for i in range(chart.n)
-        ]
-        s += h
+    fiber = kernel.rk4(slope, y, x[axis], h, steps)
     x[axis] = target
     return fiber
 
@@ -349,6 +337,13 @@ def integral_section(
     axes = list(order) if order is not None else list(range(chart.m))
     if sorted(axes) != list(range(chart.m)):
         raise ChartError(f"order must be a permutation of 0..{chart.m - 1}")
+    columns = [
+        kernel.compile_exprs(
+            [connection.gamma[i][axis] for i in range(chart.n)],
+            chart.coordinate_names,
+        )
+        for axis in range(chart.m)
+    ]
     results = []
     for target in targets:
         if len(target) != chart.m:
@@ -356,6 +351,8 @@ def integral_section(
         x = list(map(float, x0))
         y = list(map(float, y0))
         for axis in axes:
-            y = _rk4_sweep(connection, axis, x, y, float(target[axis]), steps)
+            y = _rk4_sweep(
+                chart, columns[axis], axis, x, y, float(target[axis]), steps
+            )
         results.append(y)
     return results

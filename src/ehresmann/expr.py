@@ -136,9 +136,6 @@ ONE = Const(1.0)
 # parsing
 
 
-_TOKEN_KINDS = ("number", "name", "op", "lparen", "rparen", "end")
-
-
 def _tokenize(source):
     tokens = []
     i, n = 0, len(source)
@@ -301,11 +298,6 @@ def parse(source: str) -> Expr:
 # printing
 
 
-def _needs_parens(child, parent_level, right_of_power=False):
-    level = _level(child)
-    return level < parent_level
-
-
 def _level(e):
     # higher binds tighter
     if isinstance(e, Sum):
@@ -465,15 +457,15 @@ def _power(base, exponent):
             if k < 0:
                 raise DomainError("zero raised to a negative power")
             return 0.0
-        try:
-            return base ** k
-        except OverflowError:
-            raise DomainError("power overflow")
-    if base < 0.0:
+        exponent = k
+    elif base < 0.0:
         raise DomainError(f"negative base {base} with fractional exponent")
-    if base == 0.0 and exponent < 0.0:
+    elif base == 0.0 and exponent < 0.0:
         raise DomainError("zero raised to a negative power")
-    return base ** exponent
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise DomainError("power overflow")
 
 
 # --------------------------------------------------------------------------
@@ -726,14 +718,6 @@ class ProbeConfig:
 
 
 DEFAULT_PROBE = ProbeConfig()
-
-
-def probe_points(variables, probe: ProbeConfig = DEFAULT_PROBE):
-    """Deterministic stream of probe bindings for the given variables."""
-    names = sorted(variables)
-    rng = probe.rng()
-    for _ in range(probe.points):
-        yield {name: rng.uniform(probe.low, probe.high) for name in names}
 
 
 def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE) -> bool:

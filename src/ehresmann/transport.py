@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import expr as ex
+from . import kernel
 from .errors import ChartError, EhresmannError, OutsideChartError
 from .linear import ManifoldConnection
 
@@ -59,13 +61,12 @@ class Curve:
     def point(self, t):
         return [ex.evaluate(comp, {PARAMETER_NAME: t}) for comp in self.components]
 
+    @cached_property
     def velocity_exprs(self):
         return tuple(ex.differentiate(comp, PARAMETER_NAME) for comp in self.components)
 
     def velocity(self, t):
-        return [
-            ex.evaluate(comp, {PARAMETER_NAME: t}) for comp in self.velocity_exprs()
-        ]
+        return [ex.evaluate(comp, {PARAMETER_NAME: t}) for comp in self.velocity_exprs]
 
     def is_closed(self, tol=1e-12):
         start = self.point(self.domain[0])
@@ -87,7 +88,6 @@ class TransportResult:
     times: tuple
     vectors: tuple  # one m-tuple per sample time
     step_size: float
-    integrator: str = "rk4"
 
     @property
     def final(self):
@@ -103,33 +103,61 @@ class TransportResult:
                 writer.writerow([repr(t)] + [repr(v) for v in vec])
 
 
-def _transport_rhs(mc, curve, velocity_exprs):
-    names = mc.coordinate_names
+def _transport_rhs(mc, curve, columns):
+    """Right-hand side for ``columns`` vectors transported at once, stored
+    one after the other in a single state of columns * m values."""
     m = mc.m
+    along = kernel.compile_exprs(
+        [*curve.components, *curve.velocity_exprs], (PARAMETER_NAME,)
+    )
+    # literal zero coefficients only add signed zeros to a finite sum
+    entries = [
+        (rho, nu, mu)
+        for rho in range(m)
+        for nu in range(m)
+        for mu in range(m)
+        if mc.gamma[rho][nu][mu] != ex.ZERO
+    ]
+    gamma = kernel.compile_exprs(
+        [mc.gamma[rho][nu][mu] for rho, nu, mu in entries], mc.coordinate_names
+    )
+    rows = [
+        [(j, nu, mu) for j, (r, nu, mu) in enumerate(entries) if r == rho]
+        for rho in range(m)
+    ]
+    bounds = [mc.box.get(name, (-1e18, 1e18)) for name in mc.coordinate_names]
+    offsets = range(0, columns * m, m)
 
     def rhs(t, X):
-        bindings = {PARAMETER_NAME: t}
-        point = [ex.evaluate(comp, bindings) for comp in curve.components]
-        for name, value in zip(names, point):
-            low, high = mc.box.get(name, (-1e18, 1e18))
+        values = along(t)
+        point, sigma_dot = values[:m], values[m:]
+        for value, (low, high) in zip(point, bounds):
             if not (low <= value <= high):
                 raise OutsideChartError(f"curve leaves the chart box at t={t}")
-        sigma_dot = [ex.evaluate(comp, bindings) for comp in velocity_exprs]
-        gamma_bindings = dict(zip(names, point))
+        g = gamma(*point)
         out = []
-        for rho in range(m):
-            total = 0.0
-            for nu in range(m):
-                for mu in range(m):
-                    total += (
-                        ex.evaluate(mc.gamma[rho][nu][mu], gamma_bindings)
-                        * X[mu]
-                        * sigma_dot[nu]
-                    )
-            out.append(-total)
+        for base in offsets:
+            for row in rows:
+                total = 0.0
+                for j, nu, mu in row:
+                    total += g[j] * X[base + mu] * sigma_dot[nu]
+                out.append(-total)
         return out
 
     return rhs
+
+
+def _transport(mc, curve, y0, steps, record=None):
+    """RK4 solution of the transport ODE for the vectors stacked in y0, with
+    step (T - t0)/steps; returns (step size, final state)."""
+    if tuple(curve.coordinate_names) != tuple(mc.coordinate_names):
+        raise ChartError("curve and connection use different coordinates")
+    if steps < 1:
+        raise ChartError("steps must be at least 1")
+    t0, t1 = map(float, curve.domain)
+    h = (t1 - t0) / steps
+    rhs = _transport_rhs(mc, curve, len(y0) // mc.m)
+    return h, kernel.rk4(rhs, y0, t0, h, steps, record)
 
 
 def parallel_transport(
@@ -137,50 +165,25 @@ def parallel_transport(
 ) -> TransportResult:
     """Transport the vector u0 along the curve; fixed-step RK4 with
     (T - t0)/steps."""
-    if len(curve.coordinate_names) != mc.m or tuple(curve.coordinate_names) != tuple(
-        mc.coordinate_names
-    ):
-        raise ChartError("curve and connection use different coordinates")
     if len(u0) != mc.m:
         raise ChartError(f"initial vector needs {mc.m} components")
-    if steps < 1:
-        raise ChartError("steps must be at least 1")
-    t0, t1 = curve.domain
-    h = (t1 - t0) / steps
-    rhs = _transport_rhs(mc, curve, curve.velocity_exprs())
-    m = mc.m
-    t = t0
-    X = [float(v) for v in u0]
-    times = [t]
-    vectors = [tuple(X)]
-    for _ in range(steps):
-        k1 = rhs(t, X)
-        k2 = rhs(t + h / 2.0, [X[i] + h / 2.0 * k1[i] for i in range(m)])
-        k3 = rhs(t + h / 2.0, [X[i] + h / 2.0 * k2[i] for i in range(m)])
-        k4 = rhs(t + h, [X[i] + h * k3[i] for i in range(m)])
-        X = [
-            X[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            for i in range(m)
-        ]
-        t += h
-        times.append(t)
-        vectors.append(tuple(X))
-    return TransportResult(tuple(times), tuple(vectors), h)
+    samples = []
+    h, _ = _transport(mc, curve, [float(v) for v in u0], steps, samples)
+    times = tuple(t for t, _ in samples)
+    return TransportResult(times, tuple(tuple(X) for _, X in samples), h)
 
 
 def holonomy(mc: ManifoldConnection, curve: Curve, steps=10_000):
     """Matrix of the loop's parallel transport in the coordinate basis;
     column k is the transport of the k-th basis vector.  The curve must be
-    closed to 1e-12 per component."""
+    closed to 1e-12 per component.  The m basis vectors are transported
+    together as one ODE of m * m values."""
     if not curve.is_closed():
         raise ChartError("holonomy requires a closed curve")
     m = mc.m
-    columns = []
-    for k in range(m):
-        e = [0.0] * m
-        e[k] = 1.0
-        columns.append(parallel_transport(mc, curve, e, steps).final)
-    return [[columns[c][r] for c in range(m)] for r in range(m)]
+    identity = [1.0 if r == c else 0.0 for c in range(m) for r in range(m)]
+    _, columns = _transport(mc, curve, identity, steps)
+    return [[columns[c * m + r] for c in range(m)] for r in range(m)]
 
 
 def horizontal_lift_vector(mc: ManifoldConnection, p, u, v):

@@ -1,0 +1,252 @@
+"""The compiled numeric kernel against the tree walker it replaces.
+
+``compile_exprs`` must return exactly what ``expr.evaluate`` returns, or raise
+the same error, at every point.  Transport, holonomy and integral sections
+must equal, bit for bit, the RK4 loops over ``expr.evaluate`` that they
+replaced; those loops are kept below as the reference.
+"""
+
+import math
+import random
+
+import pytest
+
+from ehresmann import expr as ex
+from ehresmann.bundle import BundleChart
+from ehresmann.connection import EhresmannConnection, integral_section
+from ehresmann.errors import DomainError, EvaluationError, OutsideChartError
+from ehresmann.kernel import compile_exprs
+from ehresmann.model import load
+from ehresmann.transport import Curve, holonomy, parallel_transport
+
+from conftest import (
+    PLANE,
+    SPHERE,
+    TAU,
+    random_smooth,
+    random_symmetric_manifold_connection,
+    sphere_connection,
+)
+
+
+def _outcome(fn):
+    """Values as reprs (so -0.0 and nan compare), or the error raised."""
+    try:
+        return [repr(v) for v in fn()]
+    except DomainError as err:
+        return (DomainError, str(err))
+
+
+def _agree(e, names, points):
+    compiled = compile_exprs([e], names)
+    for point in points:
+        tree = _outcome(lambda: [ex.evaluate(e, dict(zip(names, point)))])
+        assert _outcome(lambda: compiled(*point)) == tree, (ex.to_text(e), point)
+
+
+# --------------------------------------------------------------------------
+# compile_exprs
+
+
+class TestCompileExprs:
+    def test_random_smooth_trees(self):
+        rng = random.Random(515)
+        names = ["x", "y"]
+        for _ in range(200):
+            e = random_smooth(rng, names)
+            points = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(5)]
+            _agree(e, names, points + [(0.0, -0.0), (-0.0, 0.0), (1e300, -1e300)])
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "x^0.5", "x^-0.5", "x^1.5", "(x - y)^2.5", "x^-1", "x^-2", "x^0",
+            "0^0 + x", "x^400", "x^-400", "log(x)", "log(x * y) + x^0.25",
+            "exp(1000 * x)", "sin(x)^2 * cos(y)^-1", "-x * 0", "x * 0 + y * -0",
+            "1e400 * x", "1e400 - 1e400 + y", "(x^2 + 1)^0.5 - log(y^2 + 1)",
+        ],
+    )
+    def test_domain_edges(self, source):
+        values = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, 1e300, -1e300]
+        points = [(x, y) for x in values for y in values]
+        _agree(ex.parse(source), ["x", "y"], points)
+
+    def test_fractional_overflow_is_domain_error(self):
+        e = ex.parse("x^1.5")
+        with pytest.raises(DomainError, match="power overflow"):
+            ex.evaluate(e, {"x": 1e300})
+        with pytest.raises(DomainError, match="power overflow"):
+            compile_exprs([e], ["x"])(1e300)
+
+    def test_shared_subtrees_and_several_outputs(self):
+        exprs = [ex.parse(s) for s in ("cos(th) / sin(th)", "-sin(th) * cos(th)", "th", "2")]
+        values = compile_exprs(exprs, ["th"])(0.7)
+        assert values == [ex.evaluate(e, {"th": 0.7}) for e in exprs]
+
+    def test_long_sum(self):
+        e = ex.Sum(tuple(ex.Prod((ex.Const(k / 7.0), ex.Var("x"))) for k in range(3000)))
+        assert compile_exprs([e], ["x"])(0.3) == [ex.evaluate(e, {"x": 0.3})]
+
+    def test_unbound_variable_at_compile_time(self):
+        with pytest.raises(EvaluationError):
+            compile_exprs([ex.parse("x + y")], ["x"])
+
+
+# --------------------------------------------------------------------------
+# reference RK4 loops over expr.evaluate
+
+
+def reference_transport(mc, curve, u0, steps):
+    names, m = mc.coordinate_names, mc.m
+    velocity = [ex.differentiate(c, "t") for c in curve.components]
+
+    def rhs(t, X):
+        point = [ex.evaluate(c, {"t": t}) for c in curve.components]
+        for name, value in zip(names, point):
+            low, high = mc.box.get(name, (-1e18, 1e18))
+            if not (low <= value <= high):
+                raise OutsideChartError(f"curve leaves the chart box at t={t}")
+        sigma_dot = [ex.evaluate(c, {"t": t}) for c in velocity]
+        bindings = dict(zip(names, point))
+        out = []
+        for rho in range(m):
+            total = 0.0
+            for nu in range(m):
+                for mu in range(m):
+                    total += (
+                        ex.evaluate(mc.gamma[rho][nu][mu], bindings) * X[mu] * sigma_dot[nu]
+                    )
+            out.append(-total)
+        return out
+
+    t0, t1 = curve.domain
+    h = (t1 - t0) / steps
+    t, X = t0, [float(v) for v in u0]
+    times, vectors = [t], [tuple(X)]
+    for _ in range(steps):
+        k1 = rhs(t, X)
+        k2 = rhs(t + h / 2.0, [X[i] + h / 2.0 * k1[i] for i in range(m)])
+        k3 = rhs(t + h / 2.0, [X[i] + h / 2.0 * k2[i] for i in range(m)])
+        k4 = rhs(t + h, [X[i] + h * k3[i] for i in range(m)])
+        X = [X[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(m)]
+        t += h
+        times.append(t)
+        vectors.append(tuple(X))
+    return tuple(times), tuple(vectors)
+
+
+def reference_section(connection, x0, y0, targets, steps):
+    chart = connection.chart
+    n = chart.n
+    results = []
+    for target in targets:
+        x, fiber = list(map(float, x0)), list(map(float, y0))
+        for axis in range(chart.m):
+            length = float(target[axis]) - x[axis]
+            if length == 0.0:
+                continue
+            count = max(1, round(abs(length) * steps))
+            h = length / count
+
+            def slope(s, f):
+                bindings = dict(zip(chart.base_names, x))
+                bindings[chart.base_names[axis]] = s
+                bindings.update(zip(chart.fiber_names, f))
+                if not chart.contains(bindings):
+                    raise OutsideChartError(f"integration left the chart box at {bindings}")
+                return [ex.evaluate(connection.gamma[i][axis], bindings) for i in range(n)]
+
+            s = x[axis]
+            for _ in range(count):
+                k1 = slope(s, fiber)
+                k2 = slope(s + h / 2.0, [fiber[i] + h / 2.0 * k1[i] for i in range(n)])
+                k3 = slope(s + h / 2.0, [fiber[i] + h / 2.0 * k2[i] for i in range(n)])
+                k4 = slope(s + h, [fiber[i] + h * k3[i] for i in range(n)])
+                fiber = [
+                    fiber[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                    for i in range(n)
+                ]
+                s += h
+            x[axis] = float(target[axis])
+        results.append(fiber)
+    return results
+
+
+@pytest.fixture(scope="module")
+def sphere():
+    return load(SPHERE)
+
+
+class TestAgainstReference:
+    def test_holonomy_lat60(self, sphere):
+        mc, curve = sphere.manifold_connections["levi_civita"], sphere.curves["lat60"]
+        columns = [reference_transport(mc, curve, e, 500)[1][-1] for e in ([1, 0], [0, 1])]
+        assert holonomy(mc, curve, 500) == [[columns[c][r] for c in range(2)] for r in range(2)]
+
+    @pytest.mark.parametrize("name", ["levi_civita", "twisted"])
+    def test_transport_meridian_arc(self, sphere, name):
+        mc, curve = sphere.manifold_connections[name], sphere.curves["meridian_arc"]
+        result = parallel_transport(mc, curve, [0.3, -1.1], 300)
+        assert (result.times, result.vectors) == reference_transport(mc, curve, [0.3, -1.1], 300)
+
+    def test_section_plane_flat(self):
+        conn = load(PLANE).connections["flat"]
+        targets = [[1.0, 1.0], [-0.5, 0.7], [0.0, 0.0]]
+        got = integral_section(conn, [0.1, -0.2], [1.0], targets, steps=100)
+        assert got == reference_section(conn, [0.1, -0.2], [1.0], targets, 100)
+
+    def test_section_mixed_coefficients(self):
+        chart = BundleChart.standard(2, 2)
+        gamma = tuple(
+            tuple(ex.parse(s) for s in row)
+            for row in (["cos(x1) * y2", "(x2^2 + 1)^0.5"], ["y1 * y2 - x1", "log(y1^2 + 1)"])
+        )
+        conn = EhresmannConnection(chart, gamma)
+        targets = [[0.8, -0.6], [-0.3, 0.4]]
+        got = integral_section(conn, [0.0, 0.0], [0.5, -0.5], targets, 60, check_integrable=False)
+        assert got == reference_section(conn, [0.0, 0.0], [0.5, -0.5], targets, 60)
+
+
+class TestHolonomyColumns:
+    def test_sphere_columns_are_transports(self, sphere):
+        mc, curve = sphere.manifold_connections["levi_civita"], sphere.curves["lat60"]
+        matrix = holonomy(mc, curve, 700)
+        for k, e in enumerate(([1.0, 0.0], [0.0, 1.0])):
+            assert [row[k] for row in matrix] == list(parallel_transport(mc, curve, e, 700).final)
+
+    def test_three_dimensional_columns(self):
+        mc = random_symmetric_manifold_connection(random.Random(31), 3)
+        curve = Curve(mc.coordinate_names, tuple(
+            ex.parse(s) for s in ("0.5 * cos(t)", "0.5 * sin(t)", "0.2 * sin(2 * t)")
+        ), (0.0, TAU))
+        matrix = holonomy(mc, curve, 200)
+        for k in range(3):
+            e = [1.0 if i == k else 0.0 for i in range(3)]
+            assert [row[k] for row in matrix] == list(parallel_transport(mc, curve, e, 200).final)
+
+
+class TestChartBoxMidIntegration:
+    def test_transport_leaves_box(self):
+        # th = 0.5 + 3t starts inside th <= 3.13 and leaves near t = 0.88
+        curve = Curve(("th", "ph"), (ex.parse("0.5 + 3 * t"), ex.ZERO))
+        with pytest.raises(OutsideChartError, match="t=0.8"):
+            parallel_transport(sphere_connection(), curve, [1.0, 0.0], steps=100)
+
+    def test_holonomy_leaves_box(self):
+        curve = Curve(("th", "ph"), (ex.parse("1.5 + 2 * sin(t)"), ex.Var("t")),
+                      (0.0, TAU), {"ph": TAU})
+        with pytest.raises(OutsideChartError):
+            holonomy(sphere_connection(), curve, steps=100)
+
+    @pytest.mark.parametrize(
+        "box, target",
+        [({"y1": (-2.0, 2.0)}, [1.0]),  # fiber y = e^x passes 2 near x = 0.69
+         ({"x1": (-1.0, 1.0)}, [1.5])],  # the sweep itself leaves the base box
+    )
+    def test_section_leaves_box(self, box, target):
+        conn = EhresmannConnection(BundleChart.standard(1, 1, box), ((ex.parse("y1"),),))
+        with pytest.raises(OutsideChartError) as caught:
+            integral_section(conn, [0.0], [1.0], [target], steps=100)
+        with pytest.raises(OutsideChartError) as expected:
+            reference_section(conn, [0.0], [1.0], [target], 100)
+        assert str(caught.value) == str(expected.value)

@@ -217,6 +217,15 @@ class TestCliCommands:
         )
         assert result.exit_code == 2
 
+    def test_power_overflow_exit_2(self, runner):
+        result = runner.invoke(
+            cli.main, ["expr", "--model", PLANE, "--text", "x1^1.5", "--at", "x1=1e300"]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "power overflow" in result.output
+        assert "Traceback" not in result.output
+
     def test_transport_csv(self, runner, tmp_path):
         csv_path = tmp_path / "samples.csv"
         result = runner.invoke(
