@@ -9,6 +9,7 @@ refuse to leave it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import expr as ex
 from .errors import ChartError
@@ -27,6 +28,20 @@ def jet_names(base_names, fiber_names):
         for fiber in fiber_names
         for mu in range(1, len(base_names) + 1)
     )
+
+
+def check_table(table, shape, allowed, what):
+    """Check that ``table`` nests as ``shape`` (rows first, e.g. ``(n, m)``)
+    and that each entry uses only the names in ``allowed``; otherwise raise
+    :class:`ChartError` naming ``what`` and the offending entry."""
+    level = [table]
+    for size in shape:
+        if any(len(rows) != size for rows in level):
+            raise ChartError(f"{what} table must be {' x '.join(map(str, shape))}")
+        level = [row for rows in level for row in rows]
+    for index, entry in zip(product(*map(range, shape)), level):
+        label = what + "".join(f"[{k + 1}]" for k in index)
+        BundleChart.check_expression(entry, allowed, label)
 
 
 @dataclass(frozen=True)
@@ -77,7 +92,8 @@ class BundleChart:
                 return False
         return True
 
-    def check_expression(self, e, allowed, what):
+    @staticmethod
+    def check_expression(e, allowed, what):
         extra = ex.free_variables(e) - set(allowed)
         if extra:
             raise ChartError(
@@ -153,17 +169,9 @@ class JetSection:
         chart = self.chart
         if len(self.components) != chart.n:
             raise ChartError("wrong number of fiber components")
-        if len(self.jet_components) != chart.n or any(
-            len(row) != chart.m for row in self.jet_components
-        ):
-            raise ChartError(f"jet component table must be {chart.n} x {chart.m}")
         for i, comp in enumerate(self.components):
             chart.check_expression(comp, chart.base_names, f"component {i + 1}")
-        for i, row in enumerate(self.jet_components):
-            for mu, comp in enumerate(row):
-                chart.check_expression(
-                    comp, chart.base_names, f"jet component ({i + 1},{mu + 1})"
-                )
+        check_table(self.jet_components, (chart.n, chart.m), chart.base_names, "jet component")
 
     def base_section(self):
         """The underlying section of the bundle (forget the jet part)."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from . import kernel
-from .bundle import BundleChart, Section
+from .bundle import BundleChart, Section, check_table
 from .errors import ChartError, NotIntegrableError, OutsideChartError
 
 __all__ = [
@@ -30,14 +30,6 @@ __all__ = [
 ]
 
 
-def _check_table(chart, table, rows, cols, allowed, what):
-    if len(table) != rows or any(len(row) != cols for row in table):
-        raise ChartError(f"{what} table must be {rows} x {cols}")
-    for i, row in enumerate(table):
-        for j, entry in enumerate(row):
-            chart.check_expression(entry, allowed, f"{what}[{i + 1}][{j + 1}]")
-
-
 @dataclass(frozen=True)
 class EhresmannConnection:
     """Coefficient table Gamma^i_mu over the chart coordinates (x, y)."""
@@ -46,10 +38,8 @@ class EhresmannConnection:
     gamma: tuple  # n x m table of Expr
 
     def __post_init__(self):
-        _check_table(
-            self.chart, self.gamma, self.chart.n, self.chart.m,
-            self.chart.coordinate_names, "Gamma",
-        )
+        chart = self.chart
+        check_table(self.gamma, (chart.n, chart.m), chart.coordinate_names, "Gamma")
 
     def coefficient(self, i, mu):
         """Gamma^i_mu with zero-based indices."""
@@ -265,7 +255,7 @@ def add_vertical(connection: EhresmannConnection, gamma_shift):
     """Shift the connection by a vertical-valued semibasic table; this is
     the affine structure of the space of connections."""
     chart = connection.chart
-    _check_table(chart, gamma_shift, chart.n, chart.m, chart.coordinate_names, "shift")
+    check_table(gamma_shift, (chart.n, chart.m), chart.coordinate_names, "shift")
     shifted = tuple(
         tuple(
             ex.normalize(connection.gamma[i][mu] + gamma_shift[i][mu])
@@ -330,6 +320,8 @@ def integral_section(
     chart = connection.chart
     if len(x0) != chart.m or len(y0) != chart.n:
         raise ChartError("start point has wrong dimensions")
+    if steps < 1:
+        raise ChartError("steps must be at least 1")
     if check_integrable and not is_integrable(connection, probe):
         raise NotIntegrableError(
             "connection has nonzero curvature; integral sections do not exist"

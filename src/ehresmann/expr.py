@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, EvaluationError, ParseError, UnprobeableError
 
@@ -161,6 +161,8 @@ def _tokenize(source):
                 value = float(text)
             except ValueError:
                 raise ParseError(f"bad number {text!r}", i)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is out of range", i)
             tokens.append(("number", value, i))
             i = j
             continue
@@ -263,7 +265,10 @@ class _Parser:
     def _numeric(self, expr, offset):
         if free_variables(expr):
             raise ParseError("exponent must be numeric", offset)
-        return evaluate(expr, {})
+        value = evaluate(expr, {})
+        if not math.isfinite(value):
+            raise ParseError("exponent must be finite", offset)
+        return value
 
     def atom(self):
         token = self.peek()
@@ -315,7 +320,7 @@ def to_text(e: Expr) -> str:
     """Deterministic, re-parseable textual form."""
     if isinstance(e, Const):
         value = e.value
-        if value == int(value) and abs(value) < 1e16:
+        if _is_whole(value) and abs(value) < 1e16:
             return str(int(value))
         return repr(value)
     if isinstance(e, Var):
@@ -338,7 +343,7 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Pow):
         base = _wrap(e.base, 5)
         exponent = e.exponent
-        if exponent == int(exponent):
+        if _is_whole(exponent):
             exp_text = str(int(exponent))
         else:
             exp_text = repr(exponent)
@@ -346,6 +351,13 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Call):
         return f"{e.func}({to_text(e.arg)})"
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _is_whole(value):
+    try:
+        return value == int(value)
+    except (OverflowError, ValueError):
+        raise DomainError(f"non-finite number {value} has no text form")
 
 
 def _wrap(e, minimum_level):
@@ -429,28 +441,34 @@ def _evaluate_scaled(e, bindings):
         return -value, scale
     if isinstance(e, Call):
         argument, scale = _evaluate_scaled(e.arg, bindings)
-        if e.func == "sin":
-            value = math.sin(argument)
-        elif e.func == "cos":
-            value = math.cos(argument)
-        elif e.func == "exp":
-            try:
-                value = math.exp(argument)
-            except OverflowError:
-                raise DomainError(f"exp overflow at {argument}")
-        elif e.func == "log":
-            if argument <= 0.0:
-                raise DomainError(f"log of non-positive value {argument}")
-            value = math.log(argument)
-        else:
-            raise EvaluationError(f"unknown function {e.func!r}")
+        try:
+            if e.func == "sin":
+                value = math.sin(argument)
+            elif e.func == "cos":
+                value = math.cos(argument)
+            elif e.func == "exp":
+                try:
+                    value = math.exp(argument)
+                except OverflowError:
+                    raise DomainError(f"exp overflow at {argument}")
+            elif e.func == "log":
+                if argument <= 0.0:
+                    raise DomainError(f"log of non-positive value {argument}")
+                value = math.log(argument)
+            else:
+                raise EvaluationError(f"unknown function {e.func!r}")
+        except ValueError:  # sin or cos of an infinity
+            raise DomainError(f"{e.func} of non-finite value {argument}")
         return value, max(scale, abs(value))
     raise TypeError(f"not an expression: {e!r}")
 
 
 def _power(base, exponent):
-    if exponent == int(exponent):
+    try:
         k = int(exponent)
+    except (OverflowError, ValueError):
+        raise DomainError(f"non-finite exponent {exponent}")
+    if exponent == k:
         if base == 0.0:
             if k == 0:
                 return 1.0  # convention for integer exponents

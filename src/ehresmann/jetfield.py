@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as ex
-from .bundle import BundleChart, JetChart, Section, jet_names
+from .bundle import BundleChart, JetChart, Section, check_table, jet_names
 from .connection import EhresmannConnection
 from .errors import ChartError, NotSOPDEError
 
@@ -40,22 +40,8 @@ class JetField2:
         bundle = self.chart.bundle
         n, m = bundle.n, bundle.m
         allowed = self.chart.coordinate_names
-        if len(self.F) != n or any(len(row) != m for row in self.F):
-            raise ChartError(f"F table must be {n} x {m}")
-        if len(self.G) != n or any(
-            len(plane) != m or any(len(row) != m for row in plane)
-            for plane in self.G
-        ):
-            raise ChartError(f"G table must be {n} x {m} x {m}")
-        for i, row in enumerate(self.F):
-            for nu, entry in enumerate(row):
-                bundle.check_expression(entry, allowed, f"F[{i + 1}][{nu + 1}]")
-        for i, plane in enumerate(self.G):
-            for nu, row in enumerate(plane):
-                for mu, entry in enumerate(row):
-                    bundle.check_expression(
-                        entry, allowed, f"G[{i + 1}][{nu + 1}][{mu + 1}]"
-                    )
+        check_table(self.F, (n, m), allowed, "F")
+        check_table(self.G, (n, m, m), allowed, "G")
 
 
 def as_connection_on_jet(Y: JetField2) -> EhresmannConnection:

@@ -93,9 +93,14 @@ def _statements(v, key, bind):
         return lines
     if op == "-":
         return [f"    {v} = -{operands[0]}"]
-    if op == "sin" or op == "cos":
-        return [f"    {v} = _{op}({operands[0]})"]
     a = operands[0]
+    if op == "sin" or op == "cos":
+        return [
+            "    try:",
+            f"        {v} = _{op}({a})",
+            "    except ValueError:",
+            f'        raise _DomainError(f"{op} of non-finite value {{{a}}}")',
+        ]
     if op == "exp":
         return [
             "    try:",

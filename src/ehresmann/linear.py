@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import expr as ex
-from .bundle import BundleChart, Section, default_names
+from .bundle import BundleChart, Section, check_table, default_names
 from .connection import EhresmannConnection, VectorField
 from .errors import ChartError, NotLinearError
 
@@ -44,19 +44,7 @@ class Christoffel:
 
     def __post_init__(self):
         chart = self.chart
-        n, m = chart.n, chart.m
-        if len(self.gamma) != n or any(
-            len(plane) != n or any(len(row) != m for row in plane)
-            for plane in self.gamma
-        ):
-            raise ChartError(f"Christoffel table must be {n} x {n} x {m}")
-        for i, plane in enumerate(self.gamma):
-            for j, row in enumerate(plane):
-                for mu, entry in enumerate(row):
-                    chart.check_expression(
-                        entry, chart.base_names,
-                        f"Christoffel[{i + 1}][{j + 1}][{mu + 1}]",
-                    )
+        check_table(self.gamma, (chart.n, chart.n, chart.m), chart.base_names, "Christoffel")
 
 
 @dataclass(frozen=True)
@@ -73,20 +61,7 @@ class ManifoldConnection:
         m = self.m
         if len(set(self.coordinate_names)) != m:
             raise ChartError("manifold coordinate names must be distinct")
-        if len(self.gamma) != m or any(
-            len(plane) != m or any(len(row) != m for row in plane)
-            for plane in self.gamma
-        ):
-            raise ChartError(f"connection table must be {m} x {m} x {m}")
-        allowed = set(self.coordinate_names)
-        for plane in self.gamma:
-            for row in plane:
-                for entry in row:
-                    extra = ex.free_variables(entry) - allowed
-                    if extra:
-                        raise ChartError(
-                            f"connection coefficients use unknown coordinates {sorted(extra)}"
-                        )
+        check_table(self.gamma, (m, m, m), self.coordinate_names, "connection")
 
     @property
     def m(self):

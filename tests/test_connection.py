@@ -260,6 +260,12 @@ class TestIntegralSection:
         with pytest.raises(ChartError):
             integral_section(conn, [0.0, 0.0], [1.0], [[1.0, 1.0]], order=[0, 0])
 
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_nonpositive_steps_rejected(self, steps):
+        conn = _connection(1, 1, [["y1"]])
+        with pytest.raises(ChartError, match="steps must be at least 1"):
+            integral_section(conn, [0.0], [1.0], [[1.0]], steps=steps)
+
     def test_backwards_integration(self):
         conn = _connection(1, 1, [["y1"]])
         [[value]] = integral_section(conn, [0.0], [1.0], [[-1.0]], steps=1000)

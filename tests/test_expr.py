@@ -77,6 +77,15 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             ex.parse("1 2")
         assert info.value.offset == 2
+        with pytest.raises(ParseError) as info:
+            ex.parse("x + 1e400")
+        assert info.value.offset == 4 and "out of range" in str(info.value)
+        with pytest.raises(ParseError) as info:
+            ex.parse("x^(1e300 * 1e300)")
+        assert "exponent must be finite" in str(info.value)
+        # constant folding can still overflow; printing it is a DomainError
+        with pytest.raises(DomainError, match="non-finite"):
+            ex.to_text(ex.normalize(ex.parse("1e300 * 1e300 * x")))
 
 
 class TestPrint:

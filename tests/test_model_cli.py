@@ -193,29 +193,34 @@ class TestCliCommands:
         assert abs(value - math.e**2) <= 1e-5 * math.e**2
 
     def test_usage_errors_exit_2(self, runner, tmp_path):
-        # unknown model entry
-        result = runner.invoke(
-            cli.main, ["curvature", "--model", PLANE, "--connection", "nope"]
-        )
-        assert result.exit_code == 2
-        # conflicting residual modes
-        result = runner.invoke(
-            cli.main,
+        cases = [
+            # unknown model entry
+            ["curvature", "--model", PLANE, "--connection", "nope"],
+            # conflicting residual modes
             ["residual", "--model", PLANE, "--connection", "flat",
              "--jetfield", "sopde_flat", "--section", "exp_sum"],
-        )
-        assert result.exit_code == 2
-        # malformed vector length
-        result = runner.invoke(
-            cli.main,
+            # malformed vector length
             ["split", "--model", PLANE, "--connection", "flat", "--vector", "1,2"],
-        )
-        assert result.exit_code == 2
-        # christoffels on a nonlinear connection
-        result = runner.invoke(
-            cli.main, ["christoffels", "--model", PLANE, "--connection", "quadratic"]
-        )
-        assert result.exit_code == 2
+            # christoffels on a nonlinear connection
+            ["christoffels", "--model", PLANE, "--connection", "quadratic"],
+            # malformed bindings and sweep order
+            ["expr", "--model", PLANE, "--text", "x1", "--at", "x1"],
+            ["expr", "--model", PLANE, "--text", "x1", "--at", "x1=abc"],
+            ["integral-section", "--model", PLANE, "--connection", "flat",
+             "--start", "0,0", "--fiber", "1", "--target", "1,1", "--order", "a,b"],
+            ["integral-section", "--model", PLANE, "--connection", "flat",
+             "--start", "0,0", "--fiber", "1", "--target", "1,1", "--steps", "0"],
+            # non-finite numbers
+            ["expr", "--model", PLANE, "--text", "1e400"],
+            ["expr", "--model", PLANE, "--text", "x1^1e400", "--at", "x1=2"],
+            ["expr", "--model", PLANE, "--text", "1e300 * 1e300 * x1"],
+            ["expr", "--model", PLANE, "--text", "cos(x1*x1)", "--at", "x1=1e200"],
+        ]
+        for args in cases:
+            result = runner.invoke(cli.main, args)
+            assert result.exit_code == 2, (args, result.output)
+            assert isinstance(result.exception, SystemExit), args
+            assert result.stderr.startswith("error: "), args
 
     def test_power_overflow_exit_2(self, runner):
         result = runner.invoke(
@@ -263,6 +268,40 @@ class TestCliCommands:
                 tmp_path, f"seed{seed}",
             )
             assert json.loads(out.read_text())["zero"] is True
+
+    # per subcommand, an invocation naming an unknown model entry (for expr,
+    # malformed text); every one must take the shared error path
+    UNKNOWN_ENTRY = {
+        "expr": ["--text", "x1 +"],
+        "prolong": ["--section", "nope"],
+        "curvature": ["--connection", "nope"],
+        "integrable": ["--connection", "nope"],
+        "split": ["--connection", "nope", "--vector", "1,0,0"],
+        "integral-section": ["--connection", "nope", "--start", "0,0",
+                             "--fiber", "1", "--target", "1,1"],
+        "residual": ["--connection", "flat", "--section", "nope"],
+        "shift": ["--connection", "nope", "--by", "1,1"],
+        "multivector": ["--connection", "nope"],
+        "sopde-check": ["--jetfield", "nope"],
+        "linear-check": ["--connection", "nope"],
+        "christoffels": ["--connection", "nope"],
+        "covariant": ["--christoffel", "nope", "--section", "affine"],
+        "torsion": ["--manifold-connection", "nope"],
+        "transport": ["--manifold-connection", "nope", "--curve", "lat60",
+                      "--vector", "1,0"],
+        "holonomy": ["--manifold-connection", "nope", "--curve", "lat60"],
+        "lift": ["--manifold-connection", "nope", "--point", "1,0",
+                 "--fiber", "1,0", "--vector", "0,1"],
+    }
+
+    @pytest.mark.parametrize("name", list(cli.DISPATCH))
+    def test_shared_error_path(self, runner, name):
+        model = SPHERE if name in ("torsion", "transport", "holonomy", "lift") else PLANE
+        result = runner.invoke(cli.main, [name, "--model", model] + self.UNKNOWN_ENTRY[name])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output
 
 
 # --------------------------------------------------------------------------
