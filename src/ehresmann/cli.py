@@ -112,11 +112,15 @@ def command(name, ops, fail_unless=None):
             except EhresmannError as err:
                 _fail(str(err))
             report["command"] = name
+            try:
+                text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+            except ValueError:
+                _fail("the result holds a non-finite number")
             for line in _summary_lines(report):
                 click.echo(line)
             if output:
                 with open(output, "w") as handle:
-                    handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+                    handle.write(text + "\n")
             if fail_unless is not None and not report[fail_unless]:
                 sys.exit(1)
 

@@ -7,6 +7,7 @@ the integral-section machinery are all derived from that table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -320,6 +321,8 @@ def integral_section(
     chart = connection.chart
     if len(x0) != chart.m or len(y0) != chart.n:
         raise ChartError("start point has wrong dimensions")
+    if not all(map(math.isfinite, [*x0, *y0])):
+        raise ChartError("start point must be finite")
     if steps < 1:
         raise ChartError("steps must be at least 1")
     if check_integrable and not is_integrable(connection, probe):
@@ -340,6 +343,8 @@ def integral_section(
     for target in targets:
         if len(target) != chart.m:
             raise ChartError("target point has wrong dimension")
+        if not all(map(math.isfinite, target)):
+            raise ChartError("target point must be finite")
         x = list(map(float, x0))
         y = list(map(float, y0))
         for axis in axes:

@@ -14,6 +14,7 @@ points drawn from a configurable box.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -45,9 +46,12 @@ _FUNCTIONS = ("sin", "cos", "exp", "log")
 
 
 class Expr:
-    """Base class; concrete nodes are the dataclasses below."""
+    """Base class; concrete nodes are the dataclasses below.  The one slot
+    holds the node's normal form once :func:`normalize` has computed it; it
+    is not a dataclass field, so equality, hashing, printing and pickling
+    ignore it."""
 
-    __slots__ = ()
+    __slots__ = ("_normal",)
 
     def __add__(self, other):
         return Sum((self, _coerce(other)))
@@ -581,11 +585,27 @@ def normalize(e: Expr) -> Expr:
     """Shallow canonicalization: flatten nested sums/products, fold
     constants, merge repeated factors into powers, and collect
     syntactically identical summands.  Not a full canonical form; its job
-    is to make obvious zeros literal."""
+    is to make obvious zeros literal.
+
+    Idempotent: ``normalize(normalize(e)) == normalize(e)``.  The result is
+    remembered on ``e`` and marked as its own normal form, so no subtree is
+    normalized twice; a node that normalization leaves unchanged is
+    returned as it is rather than copied."""
     if isinstance(e, (Const, Var)):
         return e
+    try:
+        return e._normal
+    except AttributeError:
+        pass
+    out = _normalize_node(e)
+    object.__setattr__(e, "_normal", out)
+    object.__setattr__(out, "_normal", out)
+    return out
+
+
+def _normalize_node(e):
     if isinstance(e, Neg):
-        return normalize(Prod((Const(-1.0), e.arg)))
+        return _normalize_product((Const(-1.0), e.arg))
     if isinstance(e, Call):
         arg = normalize(e.arg)
         if isinstance(arg, Const):
@@ -593,7 +613,7 @@ def normalize(e: Expr) -> Expr:
                 return Const(evaluate(Call(e.func, arg), {}))
             except DomainError:
                 pass
-        return Call(e.func, arg)
+        return e if arg is e.arg else Call(e.func, arg)
     if isinstance(e, Pow):
         base = normalize(e.base)
         exponent = e.exponent
@@ -606,13 +626,15 @@ def normalize(e: Expr) -> Expr:
                 return Const(_power(base.value, exponent))
             except DomainError:
                 pass
-        if isinstance(base, Pow):
-            return Pow(base.base, base.exponent * exponent)
-        return Pow(base, exponent)
+        # (b^a)^c = b^(a*c) wherever the left side is defined, unless a is
+        # even and c fractional: (x^2)^0.5 is |x|, not x
+        if isinstance(base, Pow) and (exponent % 1.0 == 0.0 or base.exponent % 2.0 != 0.0):
+            return normalize(Pow(base.base, base.exponent * exponent))
+        return e if base is e.base else Pow(base, exponent)
     if isinstance(e, Prod):
-        return _normalize_product(e.factors)
+        return _normalize_product(e.factors, e)
     if isinstance(e, Sum):
-        return _normalize_sum(e.terms)
+        return _normalize_sum(e.terms, e)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -627,40 +649,59 @@ def _flatten(nodes, cls, attr):
     return out
 
 
-def _normalize_product(factors):
+def _rebuild(cls, children, node, old):
+    """``cls(children)``, or ``node`` itself when its children ``old`` are
+    the same objects in the same order."""
+    if node is not None and len(children) == len(old) and all(map(operator.is_, children, old)):
+        return node
+    return cls(tuple(children))
+
+
+def _base_exponent(factor):
+    if isinstance(factor, Pow) and not isinstance(factor.base, Const):
+        return factor.base, factor.exponent
+    return factor, 1.0
+
+
+def _normalize_product(factors, node=None):
     flat = _flatten(factors, Prod, "factors")
-    coefficient = 1.0
-    powers = {}  # base -> exponent
-    order = []
+    coefficient, constant = 1.0, None
+    powers = {}  # base -> [exponent, its factor while the base occurred once]
     for factor in flat:
         if isinstance(factor, Const):
             coefficient *= factor.value
+            constant = factor
             continue
-        if isinstance(factor, Pow) and not isinstance(factor.base, Const):
-            base, exponent = factor.base, factor.exponent
+        base, exponent = _base_exponent(factor)
+        entry = powers.get(base)
+        if entry is None:
+            powers[base] = [exponent, factor]
         else:
-            base, exponent = factor, 1.0
-        if base in powers:
-            powers[base] += exponent
-        else:
-            powers[base] = exponent
-            order.append(base)
+            entry[0] += exponent
+            entry[1] = None
     if coefficient == 0.0:
         return ZERO
     kept = []
-    for base in order:
-        exponent = powers[base]
-        if exponent == 0.0:
-            continue
-        kept.append(base if exponent == 1.0 else Pow(base, exponent))
-    kept.sort(key=_sort_key)
+    again = False
+    for base, (exponent, factor) in powers.items():
+        if factor is None:
+            if exponent == 0.0:
+                continue
+            factor = normalize(Pow(base, exponent))
+            # a merged power can collapse to a product, a constant or
+            # another power; those must be flattened and merged again
+            again = again or isinstance(factor, Prod) or _base_exponent(factor) != (base, exponent)
+        kept.append(factor)
     if not kept:
         return Const(coefficient)
+    kept.sort(key=_sort_key)
     if coefficient != 1.0:
-        kept.insert(0, Const(coefficient))
+        kept.insert(0, constant if constant.value == coefficient else Const(coefficient))
+    if again:
+        return normalize(Prod(tuple(kept)))
     if len(kept) == 1:
         return kept[0]
-    return Prod(tuple(kept))
+    return _rebuild(Prod, kept, node, factors)
 
 
 def _split_coefficient(term):
@@ -681,38 +722,42 @@ def _split_coefficient(term):
     return 1.0, term
 
 
-def _normalize_sum(terms):
+def _normalize_sum(terms, node=None):
     flat = _flatten(terms, Sum, "terms")
-    constant = 0.0
-    coefficients = {}  # key-part -> coefficient
-    order = []
+    constant, constant_term = 0.0, None
+    coefficients = {}  # key-part -> [coefficient, its term while the key occurred once]
     for term in flat:
         coefficient, key = _split_coefficient(term)
         if key is None:
             constant += coefficient
+            constant_term = term
             continue
-        if key in coefficients:
-            coefficients[key] += coefficient
+        entry = coefficients.get(key)
+        if entry is None:
+            coefficients[key] = [coefficient, term]
         else:
-            coefficients[key] = coefficient
-            order.append(key)
+            entry[0] += coefficient
+            entry[1] = None
     kept = []
-    for key in order:
-        coefficient = coefficients[key]
-        if coefficient == 0.0:
-            continue
-        if coefficient == 1.0:
-            kept.append(key)
-        else:
-            kept.append(_normalize_product((Const(coefficient), key)))
+    again = False
+    for key, (coefficient, term) in coefficients.items():
+        if term is None:
+            if coefficient == 0.0:
+                continue
+            term = normalize(Prod((Const(coefficient), key)))
+            # a coefficient that collapsed to 1 can expose a nested sum
+            again = again or isinstance(term, Sum)
+        kept.append(term)
     kept.sort(key=_sort_key)
     if constant != 0.0:
-        kept.append(Const(constant))
+        kept.append(constant_term if constant_term.value == constant else Const(constant))
+    if again:
+        return normalize(Sum(tuple(kept)))
     if not kept:
         return ZERO
     if len(kept) == 1:
         return kept[0]
-    return Sum(tuple(kept))
+    return _rebuild(Sum, kept, node, terms)
 
 
 # --------------------------------------------------------------------------
@@ -738,9 +783,21 @@ class ProbeConfig:
 DEFAULT_PROBE = ProbeConfig()
 
 
+def _probe_value(e, bindings):
+    """(value, scale) as in probing, where scale = max |v| over all
+    sub-values feeds the relative tolerance.  Raises :class:`DomainError`
+    when either is not finite."""
+    value, scale = _evaluate_scaled(e, bindings)
+    if not (math.isfinite(value) and math.isfinite(scale)):
+        raise DomainError(f"non-finite value {value} (scale {scale})")
+    return value, scale
+
+
 def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE) -> bool:
     """True iff the expression vanishes identically, decided by structural
-    normalization plus random probing with relative tolerance."""
+    normalization plus random probing with relative tolerance.  A probe
+    point where the value or the scale is not finite counts as out of
+    domain: a non-finite number is never zero."""
     normalized = normalize(e)
     if isinstance(normalized, Const):
         return abs(normalized.value) <= probe.tol
@@ -750,7 +807,7 @@ def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE) -> bool:
         for attempt in range(probe.max_retries):
             bindings = {name: rng.uniform(probe.low, probe.high) for name in names}
             try:
-                value, scale = _evaluate_scaled(normalized, bindings)
+                value, scale = _probe_value(normalized, bindings)
             except DomainError:
                 continue
             break

@@ -8,14 +8,14 @@ m-forms, and decides transversality and class equivalence at probe points.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import expr as ex
 from .bundle import BundleChart
 from .connection import EhresmannConnection, VectorField, horizontal_frame
-from .errors import ChartError, EhresmannError
+from .errors import ChartError, EhresmannError, UnprobeableError
 
 __all__ = [
     "Multivector",
@@ -121,27 +121,93 @@ def _probe_bindings(chart, probe):
 
 def is_transverse(mv: Multivector, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:
     """True iff the pairing with the pulled-back base volume is nonvanishing
-    at every probe point (sufficient on a single chart)."""
+    at every probe point (sufficient on a single chart).  Points out of
+    domain, or where the pairing is not finite, are skipped; with none
+    left the check raises :class:`UnprobeableError`."""
     pairing = contract(mv, base_volume_form(mv.chart))
     normalized = ex.normalize(pairing)
     if isinstance(normalized, ex.Const):
         return abs(normalized.value) > probe.tol
+    probed = 0
     for bindings in _probe_bindings(mv.chart, probe):
         try:
-            value, scale = ex._evaluate_scaled(normalized, bindings)
+            value, scale = ex._probe_value(normalized, bindings)
         except ex.DomainError:
             continue
         if abs(value) <= probe.tol * (1.0 + scale):
             return False
+        probed += 1
+    if not probed:
+        raise UnprobeableError(f"no valid probe point among {probe.points}")
     return True
 
 
 def _factor_matrix(mv: Multivector, bindings):
-    chart = mv.chart
-    rows = []
-    for factor in mv.factors:
-        rows.append([ex.evaluate(c, bindings) for c in factor.components])
-    return np.array(rows)
+    return [[ex.evaluate(c, bindings) for c in factor.components] for factor in mv.factors]
+
+
+_JACOBI_SWEEPS = 40
+_JACOBI_EPS = 1e-15
+
+
+def _singular_values(matrix):
+    """Singular values by one-sided Jacobi: rotate pairs of columns of the
+    narrower orientation until they are orthogonal; the column norms are
+    then the singular values."""
+    columns = [list(column) for column in zip(*matrix)]
+    if len(columns) > len(matrix):
+        columns = [list(row) for row in matrix]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for i, j in itertools.combinations(range(len(columns)), 2):
+            u, v = columns[i], columns[j]
+            alpha, beta, gamma = _dot(u, u), _dot(v, v), _dot(u, v)
+            if abs(gamma) <= _JACOBI_EPS * math.sqrt(alpha * beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.hypot(1.0, t)
+            s = c * t
+            columns[i] = [c * a - s * b for a, b in zip(u, v)]
+            columns[j] = [s * a + c * b for a, b in zip(u, v)]
+        if not rotated:
+            break
+    return sorted((math.sqrt(_dot(column, column)) for column in columns), reverse=True)
+
+
+def _dot(u, v):
+    return sum(map(operator.mul, u, v))
+
+
+def _rank(matrix, tol):
+    """Number of singular values above ``tol``."""
+    return sum(value > tol for value in _singular_values(matrix))
+
+
+def _det(matrix):
+    """Determinant by LU elimination with partial pivoting."""
+    a = [list(row) for row in matrix]
+    size = len(a)
+    det = 1.0
+    for k in range(size):
+        p = max(range(k, size), key=lambda r: abs(a[r][k]))
+        if a[p][k] == 0.0:
+            return 0.0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        pivot = a[k][k]
+        det *= pivot
+        for r in range(k + 1, size):
+            f = a[r][k] / pivot
+            for c in range(k + 1, size):
+                a[r][c] -= f * a[k][c]
+    return det
+
+
+def _minor(matrix, columns):
+    return [[row[c] for c in columns] for row in matrix]
 
 
 def same_class(
@@ -161,22 +227,21 @@ def same_class(
     for bindings in _probe_bindings(chart, probe):
         A = _factor_matrix(mv1, bindings)
         B = _factor_matrix(mv2, bindings)
-        if np.linalg.matrix_rank(A, tol=1e-10) < m or np.linalg.matrix_rank(B, tol=1e-10) < m:
+        if _rank(A, tol=1e-10) < m or _rank(B, tol=1e-10) < m:
             raise EhresmannError("rank-deficient multivector representative")
-        stacked = np.vstack([A, B])
-        if np.linalg.matrix_rank(stacked, tol=1e-8) > m:
+        if _rank(A + B, tol=1e-8) > m:
             return False
         if columns is None:
             # fix, once, an m-column minor where the first wedge is robustly
             # nonsingular; its ratio tracks the proportionality factor
             best, best_value = None, 0.0
-            for cols in itertools.combinations(range(A.shape[1]), m):
-                value = abs(np.linalg.det(A[:, cols]))
+            for cols in itertools.combinations(range(len(A[0])), m):
+                value = abs(_det(_minor(A, cols)))
                 if value > best_value:
                     best, best_value = cols, value
             columns = best
-        det1 = np.linalg.det(A[:, columns])
-        det2 = np.linalg.det(B[:, columns])
+        det1 = _det(_minor(A, columns))
+        det2 = _det(_minor(B, columns))
         if abs(det1) < 1e-12:
             raise EhresmannError("degenerate minor while comparing classes")
         ratio = det2 / det1

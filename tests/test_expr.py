@@ -5,11 +5,13 @@ Derivatives are checked against central finite differences (an independent
 numeric oracle); algebraic laws are checked with hypothesis-generated trees.
 """
 
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from ehresmann import expr as ex
 from ehresmann.errors import (
@@ -225,6 +227,29 @@ class TestSubstituteNormalize:
         assert ex.normalize(ex.parse("2 + 3 * 4")) == ex.Const(14.0)
         assert ex.normalize(ex.parse("cos(0)")) == ex.ONE
 
+    @pytest.mark.parametrize(
+        "source", ["(x^2)^0.5", "(x^2)^1.5", "(x^-2)^0.5", "((x^2)^0.5)^3", "(x^3)^(1/3)"]
+    )
+    def test_power_of_power_keeps_value(self, source):
+        e = ex.parse(source)
+        n = ex.normalize(e)
+        for x in (-1.5, -0.5, 0.5, 1.5):
+            try:
+                expected = ex.evaluate(e, {"x": x})
+            except DomainError:
+                continue
+            assert ex.evaluate(n, {"x": x}) == pytest.approx(expected, rel=1e-12)
+
+    def test_normal_form_is_remembered_but_invisible(self):
+        e = ex.parse("x * y + sin(x)^2 - 3")
+        before = repr(e), hash(e)
+        n = ex.normalize(e)
+        assert ex.normalize(e) is n and ex.normalize(n) is n
+        assert (repr(e), hash(e)) == before
+        assert [f.name for f in dataclasses.fields(e)] == ["terms"]
+        copied = pickle.loads(pickle.dumps(e))
+        assert copied == e and not hasattr(copied, "_normal")
+
     def test_normalize_preserves_value(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -252,6 +277,17 @@ class TestIsZero:
     def test_nonzero_detected(self):
         assert not ex.is_zero(ex.parse("x^2 - y"))
         assert not ex.is_zero(ex.parse("0.001 * x"))
+
+    def test_even_power_root_is_not_identity(self):
+        # (x^2)^0.5 is |x|; it used to be merged into x
+        assert not ex.is_zero(ex.parse("(x^2)^0.5 - x"))
+        assert ex.is_zero(ex.parse("(x^2)^0.5 - (x^4)^0.25"))
+
+    def test_nonfinite_is_not_zero(self):
+        # overflows to inf wherever |x| > ~0.18; finite elsewhere
+        assert not ex.is_zero(ex.parse("x^400 * 10^300"))
+        with pytest.raises(UnprobeableError):
+            ex.is_zero(ex.parse("10^300 * (x^2 + 2)^200"))
 
     def test_constant_tolerance(self):
         probe = ex.ProbeConfig(tol=1e-9)
@@ -292,8 +328,8 @@ def _trees():
             st.tuples(inner, inner).map(lambda p: ex.Sum(p)),
             st.tuples(inner, inner).map(lambda p: ex.Prod(p)),
             inner.map(ex.Neg),
-            st.tuples(inner, st.integers(min_value=2, max_value=3)).map(
-                lambda p: ex.Pow(p[0], float(p[1]))
+            st.tuples(inner, st.sampled_from([2.0, 3.0, 0.5, 1.5, -1.0, 1.0 / 3.0])).map(
+                lambda p: ex.Pow(*p)
             ),
             inner.map(lambda a: ex.Call("sin", a)),
             inner.map(lambda a: ex.Call("cos", a)),
@@ -302,12 +338,21 @@ def _trees():
     )
 
 
+def _vanishes(e):
+    """``is_zero(e)``.  A tree such as ``(-1)^0.5 + x`` is defined nowhere;
+    no law can be probed on it, so the example is discarded."""
+    try:
+        return ex.is_zero(e)
+    except UnprobeableError:
+        reject()
+
+
 @settings(max_examples=40, deadline=None)
 @given(a=_trees(), b=_trees())
 def test_derivative_is_additive(a, b):
     lhs = ex.differentiate(ex.Sum((a, b)), "x")
     rhs = ex.differentiate(a, "x") + ex.differentiate(b, "x")
-    assert ex.is_zero(lhs - rhs)
+    assert _vanishes(lhs - rhs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -315,17 +360,47 @@ def test_derivative_is_additive(a, b):
 def test_product_rule(a, b):
     lhs = ex.differentiate(ex.Prod((a, b)), "x")
     rhs = ex.differentiate(a, "x") * b + a * ex.differentiate(b, "x")
-    assert ex.is_zero(lhs - rhs)
+    assert _vanishes(lhs - rhs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(e=_trees())
 def test_print_parse_round_trip(e):
-    assert ex.is_zero(ex.parse(ex.to_text(e)) - e)
+    assert _vanishes(ex.parse(ex.to_text(e)) - e)
+
+
+_X, _Y = ex.Var("x"), ex.Var("y")
 
 
 @settings(max_examples=40, deadline=None)
 @given(e=_trees())
+# a merged power that leaves exponent 1, and a sum and a product left
+# nested after a coefficient or an exponent collapses to 1
+@example(e=ex.Pow(ex.Pow(_X, -1.0), -1.0))
+@example(e=ex.Sum((ex.Prod((ex.Const(2.0), _X + _Y)), ex.Neg(_X + _Y), _Y)))
+@example(e=ex.Prod((ex.Pow(_X * _Y, 2.0), ex.Pow(_X * _Y, -1.0), _Y)))
 def test_normalize_idempotent(e):
     once = ex.normalize(e)
-    assert ex.normalize(once) == once
+    # a fresh copy, so the normal form remembered on ``once`` cannot answer
+    assert repr(ex.normalize(ex.substitute(once, {}))) == repr(once)
+
+
+def _subtrees(e):
+    yield e
+    for child in (getattr(e, "terms", None) or getattr(e, "factors", None) or ()):
+        yield from _subtrees(child)
+    for attr in ("base", "arg"):
+        if hasattr(e, attr):
+            yield from _subtrees(getattr(e, attr))
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=_trees(), seed=st.integers(0, 2**16))
+def test_normalize_cold_equals_warm(e, seed):
+    cold = ex.normalize(ex.substitute(e, {}))
+    warm = ex.substitute(e, {})
+    nodes = list(_subtrees(warm))
+    random.Random(seed).shuffle(nodes)
+    for node in nodes:
+        ex.normalize(node)
+    assert repr(ex.normalize(warm)) == repr(cold)

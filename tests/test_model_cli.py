@@ -215,6 +215,13 @@ class TestCliCommands:
             ["expr", "--model", PLANE, "--text", "x1^1e400", "--at", "x1=2"],
             ["expr", "--model", PLANE, "--text", "1e300 * 1e300 * x1"],
             ["expr", "--model", PLANE, "--text", "cos(x1*x1)", "--at", "x1=1e200"],
+            ["expr", "--model", PLANE, "--text", "x1*x1", "--at", "x1=1e200"],
+            ["integral-section", "--model", PLANE, "--connection", "flat",
+             "--start", "0,0", "--fiber", "1", "--target", "nan,1"],
+            ["integral-section", "--model", PLANE, "--connection", "flat",
+             "--start", "0,0", "--fiber", "1", "--target", "inf,1"],
+            ["integral-section", "--model", PLANE, "--connection", "flat",
+             "--start", "0,0", "--fiber", "inf", "--target", "1,1"],
         ]
         for args in cases:
             result = runner.invoke(cli.main, args)

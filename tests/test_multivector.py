@@ -5,9 +5,10 @@ import random
 import pytest
 
 from ehresmann import expr as ex
+from ehresmann import multivector as mvec
 from ehresmann.bundle import BundleChart
 from ehresmann.connection import EhresmannConnection, VectorField, horizontal_frame
-from ehresmann.errors import ChartError, EhresmannError
+from ehresmann.errors import ChartError, EhresmannError, UnprobeableError
 from ehresmann.multivector import (
     MForm,
     Multivector,
@@ -117,6 +118,20 @@ class TestTransverse:
         )
         assert not is_transverse(mv)
 
+    def test_no_valid_probe_point_is_unprobeable(self):
+        # log of a negative quantity is defined nowhere: no point can vouch
+        chart = BundleChart.standard(1, 1)
+        field = VectorField(chart, (ex.parse("log(-1 - x1^2)"),), (ex.ZERO,))
+        with pytest.raises(UnprobeableError):
+            is_transverse(Multivector(chart, (field,)))
+
+    def test_overflowing_pairing_is_unprobeable(self):
+        # the pairing overflows at every probe point; inf proves nothing
+        chart = BundleChart.standard(1, 1)
+        field = VectorField(chart, (ex.parse("10^300 * (x1^2 + 2)^200"),), (ex.ZERO,))
+        with pytest.raises(UnprobeableError):
+            is_transverse(Multivector(chart, (field,)))
+
 
 class TestSameClass:
     def test_rescaled_is_same_class(self):
@@ -162,3 +177,39 @@ class TestConstruction:
         chart = BundleChart.standard(2, 1)
         with pytest.raises(ChartError):
             Multivector(chart, (_basis_field(chart, "x1"),))
+
+
+def _low_rank(rng, rows, cols, rank, scale=1.0):
+    left = [[rng.uniform(-2, 2) for _ in range(rank)] for _ in range(rows)]
+    right = [[scale * rng.uniform(-2, 2) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(a * b[c] for a, b in zip(row, right)) for c in range(cols)] for row in left]
+
+
+class TestLinearAlgebra:
+    """The pure-Python rank and determinant behind ``same_class`` against
+    numpy, which is a test dependency only."""
+
+    def test_rank_matches_numpy(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(17)
+        for _ in range(300):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            rank = rng.randint(0, min(rows, cols))
+            matrix = _low_rank(rng, rows, cols, rank, scale=rng.choice([1e-3, 1.0, 1e3]))
+            theirs = np.linalg.svd(np.array(matrix, dtype=float).reshape(rows, cols),
+                                   compute_uv=False)
+            ours = mvec._singular_values(matrix)
+            assert ours == pytest.approx(list(theirs), rel=1e-9, abs=1e-12 * (1 + theirs[0]))
+            for tol in (1e-10, 1e-8):
+                expected = np.linalg.matrix_rank(np.array(matrix).reshape(rows, cols), tol=tol)
+                assert mvec._rank(matrix, tol) == expected == rank
+
+    def test_det_matches_numpy(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(23)
+        for _ in range(300):
+            size = rng.randint(1, 5)
+            rank = rng.choice([size, size, rng.randint(0, size)])
+            matrix = _low_rank(rng, size, size, rank)
+            expected = np.linalg.det(np.array(matrix).reshape(size, size))
+            assert mvec._det(matrix) == pytest.approx(expected, rel=1e-9, abs=1e-12)
