@@ -18,7 +18,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .errors import DomainError, EvaluationError, ParseError, UnprobeableError
+from .errors import DomainError, EhresmannError, EvaluationError, ParseError, UnprobeableError
 
 __all__ = [
     "Expr",
@@ -30,6 +30,7 @@ __all__ = [
     "Neg",
     "Call",
     "ProbeConfig",
+    "probe_values",
     "ZERO",
     "ONE",
     "parse",
@@ -767,7 +768,9 @@ def _normalize_sum(terms, node=None):
 @dataclass(frozen=True, slots=True)
 class ProbeConfig:
     """Sampling policy for the probabilistic zero test and other
-    point-probing decisions."""
+    point-probing decisions.  A policy that could decide nothing (no
+    point, no attempt, an empty or non-finite box, a negative or
+    non-finite tolerance) is refused at construction."""
 
     points: int = 32
     low: float = -2.0
@@ -776,11 +779,42 @@ class ProbeConfig:
     seed: int = 20240815
     max_retries: int = 64
 
+    def __post_init__(self):
+        if self.points < 1 or self.max_retries < 1:
+            raise EhresmannError("points and max_retries must be at least 1")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise EhresmannError(f"tol must be finite and non-negative, got {self.tol}")
+        if not (math.isfinite(self.low) and math.isfinite(self.high) and self.low < self.high):
+            raise EhresmannError(f"need finite low < high, got [{self.low}, {self.high}]")
+
     def rng(self):
         return random.Random(self.seed)
 
 
 DEFAULT_PROBE = ProbeConfig()
+
+
+def probe_values(at, names, probe: ProbeConfig = DEFAULT_PROBE):
+    """Yield ``at(bindings)`` at ``probe.points`` seeded points drawn
+    uniformly over ``names``, lazily, so a caller can stop at the first
+    deciding point.  A point where ``at`` raises :class:`DomainError` is
+    redrawn; after ``probe.max_retries`` draws for one point the loop
+    raises :class:`UnprobeableError`.  Every probed verdict draws its
+    points here."""
+    rng = probe.rng()
+    for _ in range(probe.points):
+        for _ in range(probe.max_retries):
+            bindings = {name: rng.uniform(probe.low, probe.high) for name in names}
+            try:
+                value = at(bindings)
+            except DomainError:
+                continue
+            break
+        else:
+            raise UnprobeableError(
+                f"no valid probe point found in {probe.max_retries} attempts"
+            )
+        yield value
 
 
 def _probe_value(e, bindings):
@@ -802,22 +836,8 @@ def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE) -> bool:
     if isinstance(normalized, Const):
         return abs(normalized.value) <= probe.tol
     names = sorted(free_variables(normalized))
-    rng = probe.rng()
-    for _ in range(probe.points):
-        for attempt in range(probe.max_retries):
-            bindings = {name: rng.uniform(probe.low, probe.high) for name in names}
-            try:
-                value, scale = _probe_value(normalized, bindings)
-            except DomainError:
-                continue
-            break
-        else:
-            raise UnprobeableError(
-                f"no valid probe point found in {probe.max_retries} attempts"
-            )
-        if abs(value) > probe.tol * (1.0 + scale):
-            return False
-    return True
+    values = probe_values(lambda bindings: _probe_value(normalized, bindings), names, probe)
+    return all(abs(value) <= probe.tol * (1.0 + scale) for value, scale in values)
 
 
 def all_zero(exprs, probe: ProbeConfig = DEFAULT_PROBE) -> bool:

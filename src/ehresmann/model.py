@@ -16,7 +16,7 @@ import yaml
 from . import expr as ex
 from .bundle import BundleChart, JetChart, Section, default_names
 from .connection import EhresmannConnection
-from .errors import ModelError, ParseError, ChartError
+from .errors import ChartError, EhresmannError, ModelError, ParseError
 from .jetfield import JetField2
 from .linear import Christoffel, ManifoldConnection
 from .transport import Curve
@@ -88,8 +88,15 @@ def _box(value, what):
     for name, bounds in value.items():
         if not (isinstance(bounds, list) and len(bounds) == 2):
             raise ModelError(f"{what}: box entry {name!r} must be [low, high]")
-        out[name] = (float(bounds[0]), float(bounds[1]))
+        out[name] = tuple(_number(bound, f"{what}.box.{name}") for bound in bounds)
     return out
+
+
+def _number(value, where, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ModelError(f"{where}: expected a number, got {value!r}") from err
 
 
 def load(path) -> ModelFile:
@@ -109,13 +116,15 @@ def load(path) -> ModelFile:
     probe_block = raw.get("probe") or {}
     if not isinstance(probe_block, dict):
         raise ModelError("probe: must be a mapping")
-    model.probe = ex.ProbeConfig(
-        points=int(probe_block.get("points", ex.DEFAULT_PROBE.points)),
-        low=float(probe_block.get("low", ex.DEFAULT_PROBE.low)),
-        high=float(probe_block.get("high", ex.DEFAULT_PROBE.high)),
-        tol=float(probe_block.get("tol", ex.DEFAULT_PROBE.tol)),
-        seed=int(probe_block.get("seed", ex.DEFAULT_PROBE.seed)),
-    )
+    settings = {
+        key: _number(probe_block.get(key, getattr(ex.DEFAULT_PROBE, key)), f"probe.{key}", kind)
+        for key, kind in (("points", int), ("low", float), ("high", float),
+                          ("tol", float), ("seed", int))
+    }
+    try:
+        model.probe = ex.ProbeConfig(**settings)
+    except EhresmannError as err:
+        raise ModelError(f"probe: {err}") from err
 
     bundle_block = raw.get("bundle")
     if bundle_block is not None:
@@ -226,8 +235,8 @@ def load(path) -> ModelFile:
             model.curves[name] = Curve(
                 tuple(model.manifold_names),
                 components,
-                (float(domain[0]), float(domain[1])),
-                {str(k): float(v) for k, v in periods.items()},
+                tuple(_number(t, f"curves.{name}.domain") for t in domain),
+                {str(k): _number(v, f"curves.{name}.periods.{k}") for k, v in periods.items()},
             )
         except ChartError as err:
             raise ModelError(f"curves.{name}: {err}") from err

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from . import expr as ex
 from .bundle import BundleChart
 from .connection import EhresmannConnection, VectorField, horizontal_frame
-from .errors import ChartError, EhresmannError, UnprobeableError
+from .errors import ChartError, EhresmannError
 
 __all__ = [
     "Multivector",
@@ -112,77 +111,19 @@ def contract(mv: Multivector, omega: MForm) -> ex.Expr:
     return ex.normalize(ex.Sum(tuple(total)))
 
 
-def _probe_bindings(chart, probe):
-    rng = probe.rng()
-    names = chart.coordinate_names
-    for _ in range(probe.points):
-        yield {name: rng.uniform(probe.low, probe.high) for name in names}
-
-
 def is_transverse(mv: Multivector, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:
     """True iff the pairing with the pulled-back base volume is nonvanishing
     at every probe point (sufficient on a single chart).  Points out of
-    domain, or where the pairing is not finite, are skipped; with none
-    left the check raises :class:`UnprobeableError`."""
+    domain, or where the pairing is not finite, are redrawn as in
+    :func:`expr.probe_values`."""
     pairing = contract(mv, base_volume_form(mv.chart))
     normalized = ex.normalize(pairing)
     if isinstance(normalized, ex.Const):
         return abs(normalized.value) > probe.tol
-    probed = 0
-    for bindings in _probe_bindings(mv.chart, probe):
-        try:
-            value, scale = ex._probe_value(normalized, bindings)
-        except ex.DomainError:
-            continue
-        if abs(value) <= probe.tol * (1.0 + scale):
-            return False
-        probed += 1
-    if not probed:
-        raise UnprobeableError(f"no valid probe point among {probe.points}")
-    return True
-
-
-def _factor_matrix(mv: Multivector, bindings):
-    return [[ex.evaluate(c, bindings) for c in factor.components] for factor in mv.factors]
-
-
-_JACOBI_SWEEPS = 40
-_JACOBI_EPS = 1e-15
-
-
-def _singular_values(matrix):
-    """Singular values by one-sided Jacobi: rotate pairs of columns of the
-    narrower orientation until they are orthogonal; the column norms are
-    then the singular values."""
-    columns = [list(column) for column in zip(*matrix)]
-    if len(columns) > len(matrix):
-        columns = [list(row) for row in matrix]
-    for _ in range(_JACOBI_SWEEPS):
-        rotated = False
-        for i, j in itertools.combinations(range(len(columns)), 2):
-            u, v = columns[i], columns[j]
-            alpha, beta, gamma = _dot(u, u), _dot(v, v), _dot(u, v)
-            if abs(gamma) <= _JACOBI_EPS * math.sqrt(alpha * beta):
-                continue
-            rotated = True
-            zeta = (beta - alpha) / (2.0 * gamma)
-            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-            c = 1.0 / math.hypot(1.0, t)
-            s = c * t
-            columns[i] = [c * a - s * b for a, b in zip(u, v)]
-            columns[j] = [s * a + c * b for a, b in zip(u, v)]
-        if not rotated:
-            break
-    return sorted((math.sqrt(_dot(column, column)) for column in columns), reverse=True)
-
-
-def _dot(u, v):
-    return sum(map(operator.mul, u, v))
-
-
-def _rank(matrix, tol):
-    """Number of singular values above ``tol``."""
-    return sum(value > tol for value in _singular_values(matrix))
+    values = ex.probe_values(
+        lambda bindings: ex._probe_value(normalized, bindings), mv.chart.coordinate_names, probe
+    )
+    return all(abs(value) > probe.tol * (1.0 + scale) for value, scale in values)
 
 
 def _det(matrix):
@@ -206,8 +147,27 @@ def _det(matrix):
     return det
 
 
-def _minor(matrix, columns):
-    return [[row[c] for c in columns] for row in matrix]
+def _plucker(matrix):
+    """Plücker coordinates of the rows of an m-row matrix: its m x m
+    minors, columns taken in lexicographic order."""
+    m = len(matrix)
+    return [
+        _det([[row[c] for c in columns] for row in matrix])
+        for columns in itertools.combinations(range(len(matrix[0])), m)
+    ]
+
+
+def _wedge(mv: Multivector, bindings, tol):
+    """Plücker coordinates of the factors at a point, with the bound
+    prod |X_i| on their size (Hadamard) as the scale of the tolerance."""
+    matrix = [[ex.evaluate(c, bindings) for c in factor.components] for factor in mv.factors]
+    p = _plucker(matrix)
+    scale = math.prod(math.hypot(*row) for row in matrix)
+    if not (math.isfinite(scale) and all(map(math.isfinite, p))):
+        raise ex.DomainError("non-finite multivector component")
+    if max(map(abs, p)) <= tol * (1.0 + scale):
+        raise EhresmannError("rank-deficient multivector representative")
+    return p, scale
 
 
 def same_class(
@@ -215,40 +175,23 @@ def same_class(
     mv2: Multivector,
     probe: ex.ProbeConfig = ex.DEFAULT_PROBE,
 ) -> bool:
-    """Probe-level class equivalence: equal spans at every probe point and a
-    proportionality factor between the wedges that never vanishes and keeps
-    a constant sign."""
+    """Probe-level class equivalence: at every probe point the Plücker
+    coordinates q of ``mv2`` are f times those p of ``mv1``, and the factor
+    f keeps one sign across points.  f is read off the largest |p|; a
+    representative whose coordinates vanish at a point raises."""
     if mv1.chart != mv2.chart:
         raise ChartError("multivectors live on different charts")
-    chart = mv1.chart
-    m = chart.m
-    columns = None
-    previous_sign = 0
-    for bindings in _probe_bindings(chart, probe):
-        A = _factor_matrix(mv1, bindings)
-        B = _factor_matrix(mv2, bindings)
-        if _rank(A, tol=1e-10) < m or _rank(B, tol=1e-10) < m:
-            raise EhresmannError("rank-deficient multivector representative")
-        if _rank(A + B, tol=1e-8) > m:
+    tol = probe.tol
+    pairs = ex.probe_values(
+        lambda bindings: (_wedge(mv1, bindings, tol), _wedge(mv2, bindings, tol)),
+        mv1.chart.coordinate_names,
+        probe,
+    )
+    previous = 0.0
+    for (p, _), (q, scale) in pairs:
+        k = max(range(len(p)), key=lambda i: abs(p[i]))
+        f = q[k] / p[k]
+        if f * previous < 0.0 or any(abs(b - f * a) > tol * (1.0 + scale) for a, b in zip(p, q)):
             return False
-        if columns is None:
-            # fix, once, an m-column minor where the first wedge is robustly
-            # nonsingular; its ratio tracks the proportionality factor
-            best, best_value = None, 0.0
-            for cols in itertools.combinations(range(len(A[0])), m):
-                value = abs(_det(_minor(A, cols)))
-                if value > best_value:
-                    best, best_value = cols, value
-            columns = best
-        det1 = _det(_minor(A, columns))
-        det2 = _det(_minor(B, columns))
-        if abs(det1) < 1e-12:
-            raise EhresmannError("degenerate minor while comparing classes")
-        ratio = det2 / det1
-        if abs(ratio) <= probe.tol * (1.0 + abs(det1) + abs(det2)):
-            return False
-        sign = 1 if ratio > 0 else -1
-        if previous_sign and sign != previous_sign:
-            return False
-        previous_sign = sign
+        previous = f
     return True

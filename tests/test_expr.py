@@ -16,6 +16,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 from ehresmann import expr as ex
 from ehresmann.errors import (
     DomainError,
+    EhresmannError,
     EvaluationError,
     ParseError,
     UnprobeableError,
@@ -308,6 +309,52 @@ class TestIsZero:
     def test_all_zero(self):
         assert ex.all_zero([ex.parse("x - x"), ex.ZERO])
         assert not ex.all_zero([ex.ZERO, ex.parse("x")])
+
+
+class TestProbeValues:
+    def test_seeded_lazy_draws(self):
+        probe = ex.ProbeConfig(points=4, seed=3)
+        rng = probe.rng()
+        expected = [
+            {name: rng.uniform(probe.low, probe.high) for name in ("y", "x")}
+            for _ in range(4)
+        ]
+        values = ex.probe_values(dict, ("y", "x"), probe)
+        assert next(values) == expected[0]
+        assert list(values) == expected[1:]
+
+    def test_out_of_domain_point_is_redrawn(self):
+        calls = []
+
+        def at(bindings):
+            calls.append(bindings)
+            if len(calls) == 2:
+                raise DomainError("out of domain")
+            return bindings
+
+        values = list(ex.probe_values(at, ["x"], ex.ProbeConfig(points=3)))
+        assert len(calls) == 4
+        assert values == [calls[0], calls[2], calls[3]]
+
+    def test_unprobeable_after_max_retries(self):
+        calls = []
+
+        def at(bindings):
+            calls.append(bindings)
+            raise DomainError("defined nowhere")
+
+        with pytest.raises(UnprobeableError):
+            list(ex.probe_values(at, ["x"], ex.ProbeConfig(max_retries=7)))
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("policy", [
+        {"points": 0}, {"max_retries": 0}, {"tol": -1e-9}, {"tol": math.nan},
+        {"tol": math.inf}, {"low": math.nan}, {"high": math.inf},
+        {"low": 1.0, "high": 1.0}, {"low": 2.0, "high": 1.0},
+    ], ids=lambda policy: ",".join(f"{k}={v}" for k, v in policy.items()))
+    def test_vacuous_policy_rejected(self, policy):
+        with pytest.raises(EhresmannError):
+            ex.ProbeConfig(**policy)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Model-file loading and the command line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -223,6 +224,30 @@ class TestCliCommands:
             ["integral-section", "--model", PLANE, "--connection", "flat",
              "--start", "0,0", "--fiber", "inf", "--target", "1,1"],
         ]
+        # model files with a vacuous or non-finite probe policy, or a
+        # number that is not one; each command succeeds or exits 1 on the
+        # shipped model
+        plane = Path(PLANE).read_text().split("probe:")[0]
+        sphere = Path(SPHERE).read_text().split("probe:")[0]
+        integrable = ["integrable", "--connection", "curved"]
+        holonomy = ["holonomy", "--manifold-connection", "levi_civita", "--curve", "lat60"]
+        bad_models = {
+            "points-0": (plane + "probe: {points: 0}\n", integrable),
+            "tol-nan": (plane + "probe: {tol: .nan}\n", integrable),
+            "tol-negative": (plane + "probe: {tol: -1.0e-9}\n", integrable),
+            "empty-box": (plane + "probe: {low: 1.0, high: 1.0}\n", integrable),
+            "low-inf": (plane + "probe: {low: -.inf}\n", integrable),
+            "points-abc": (plane + "probe: {points: abc}\n", integrable),
+            "points-inf": (plane + "probe: {points: .inf}\n", integrable),
+            "seed-abc": (plane + "probe: {seed: abc}\n", integrable),
+            "bundle-box": (plane.replace("x1: [-4.0, 4.0]", "x1: [a, 4.0]"), integrable),
+            "domain": (sphere.replace("domain: [0.0, 1.0]", "domain: [a, 1.0]"), holonomy),
+            "periods": (sphere.replace("ph: 6.283185307179586", "ph: abc", 1), holonomy),
+        }
+        for label, (text, args) in bad_models.items():
+            path = tmp_path / f"{label}.yaml"
+            path.write_text(text)
+            cases.append(args + ["--model", str(path)])
         for args in cases:
             result = runner.invoke(cli.main, args)
             assert result.exit_code == 2, (args, result.output)

@@ -1,8 +1,10 @@
 """Decomposable multivector representatives and their class calculus."""
 
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ehresmann import expr as ex
 from ehresmann import multivector as mvec
@@ -125,6 +127,14 @@ class TestTransverse:
         with pytest.raises(UnprobeableError):
             is_transverse(Multivector(chart, (field,)))
 
+    def test_out_of_domain_point_is_redrawn(self):
+        # the pairing x1^0.5 + 1 is defined for x1 >= 0 only, and the one
+        # point of this policy is first drawn at x1 < 0
+        chart = BundleChart.standard(1, 1)
+        field = VectorField(chart, (ex.parse("x1^0.5 + 1"),), (ex.ZERO,))
+        seed = next(s for s in range(100) if ex.ProbeConfig(seed=s).rng().uniform(-2, 2) < 0)
+        assert is_transverse(Multivector(chart, (field,)), ex.ProbeConfig(points=1, seed=seed))
+
     def test_overflowing_pairing_is_unprobeable(self):
         # the pairing overflows at every probe point; inf proves nothing
         chart = BundleChart.standard(1, 1)
@@ -165,6 +175,25 @@ class TestSameClass:
         with pytest.raises(EhresmannError):
             same_class(degenerate, good)
 
+    def test_self_is_same_class(self):
+        # the largest minor moves between points (x1^20 spans 1e-20..1e6);
+        # a minor fixed at the first point used to read as degenerate
+        rep = representative(_connection(2, 1, [["x1^20", "0"]]))
+        assert same_class(rep, rep)
+        # the first minor (x1, x2) vanishes everywhere on this frame
+        chart = rep.chart
+        tilted = _basis_field(chart, "x1") + _basis_field(chart, "x2")
+        mv = Multivector(chart, (tilted, tilted + _basis_field(chart, "y1")))
+        assert same_class(mv, mv)
+
+    def test_sign_changing_factor_not_same_class(self):
+        conn = _connection(2, 1, [["y1", "x1 * y1"]])
+        rep = representative(conn)
+        scaled = Multivector(
+            conn.chart, (rep.factors[0].scale(ex.parse("x1")), rep.factors[1])
+        )
+        assert not same_class(rep, scaled)
+
     def test_chart_mismatch(self):
         a = representative(_connection(2, 1, [["0", "0"]]))
         b = representative(_connection(2, 2, [["0", "0"], ["0", "0"]]))
@@ -186,23 +215,8 @@ def _low_rank(rng, rows, cols, rank, scale=1.0):
 
 
 class TestLinearAlgebra:
-    """The pure-Python rank and determinant behind ``same_class`` against
-    numpy, which is a test dependency only."""
-
-    def test_rank_matches_numpy(self):
-        np = pytest.importorskip("numpy")
-        rng = random.Random(17)
-        for _ in range(300):
-            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-            rank = rng.randint(0, min(rows, cols))
-            matrix = _low_rank(rng, rows, cols, rank, scale=rng.choice([1e-3, 1.0, 1e3]))
-            theirs = np.linalg.svd(np.array(matrix, dtype=float).reshape(rows, cols),
-                                   compute_uv=False)
-            ours = mvec._singular_values(matrix)
-            assert ours == pytest.approx(list(theirs), rel=1e-9, abs=1e-12 * (1 + theirs[0]))
-            for tol in (1e-10, 1e-8):
-                expected = np.linalg.matrix_rank(np.array(matrix).reshape(rows, cols), tol=tol)
-                assert mvec._rank(matrix, tol) == expected == rank
+    """The pure-Python determinant (against numpy, a test dependency only)
+    and Plücker coordinates behind ``same_class``."""
 
     def test_det_matches_numpy(self):
         np = pytest.importorskip("numpy")
@@ -213,3 +227,18 @@ class TestLinearAlgebra:
             matrix = _low_rank(rng, size, size, rank)
             expected = np.linalg.det(np.array(matrix).reshape(size, size))
             assert mvec._det(matrix) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_plucker_scales_by_det(self, data):
+        # the minors of M.A are det(M) times those of A
+        assert mvec._plucker([[1.0, 0.0, 3.0], [0.0, 1.0, 5.0]]) == [1.0, 5.0, -3.0]
+        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+        entries = st.floats(-2.0, 2.0)
+        A = [[data.draw(entries) for _ in range(m + n)] for _ in range(m)]
+        M = [[data.draw(entries) for _ in range(m)] for _ in range(m)]
+        assume(abs(mvec._det(M)) > 1e-3)
+        MA = [[sum(M[r][k] * A[k][c] for k in range(m)) for c in range(m + n)] for r in range(m)]
+        expected = [mvec._det(M) * p for p in mvec._plucker(A)]
+        assert len(expected) == math.comb(m + n, m)
+        assert mvec._plucker(MA) == pytest.approx(expected, rel=1e-9, abs=1e-9)
