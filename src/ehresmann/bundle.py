@@ -8,6 +8,7 @@ refuse to leave it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -44,6 +45,15 @@ def check_table(table, shape, allowed, what):
         BundleChart.check_expression(entry, allowed, label)
 
 
+def check_box(box, names):
+    """Refuse a box entry for a coordinate outside ``names`` or not low < high, finite."""
+    for name, (low, high) in box.items():
+        if name not in names:
+            raise ChartError(f"box bound for unknown coordinate {name!r}")
+        if not (math.isfinite(low) and math.isfinite(high) and low < high):
+            raise ChartError(f"box for {name!r} needs finite low < high, got [{low}, {high}]")
+
+
 @dataclass(frozen=True)
 class BundleChart:
     """Adapted chart of a trivial bundle E = M x F.
@@ -62,9 +72,7 @@ class BundleChart:
         names = tuple(self.base_names) + tuple(self.fiber_names)
         if len(set(names)) != len(names):
             raise ChartError("coordinate names must be distinct")
-        for name in self.box:
-            if name not in names:
-                raise ChartError(f"box bound for unknown coordinate {name!r}")
+        check_box(self.box, names)
 
     @classmethod
     def standard(cls, m, n, box=None):

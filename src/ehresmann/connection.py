@@ -271,30 +271,32 @@ def add_vertical(connection: EhresmannConnection, gamma_shift):
 # numeric integral sections
 
 
-def _rk4_sweep(chart, column, axis, x, y, target, steps_per_unit):
-    """Advance the fiber values along the coordinate line x[axis] -> target,
-    holding the other base coordinates fixed; ``column`` is the compiled
-    column Gamma^i_axis over the chart coordinates."""
-    length = target - x[axis]
-    if length == 0.0:
-        return y
-    steps = max(1, round(abs(length) * steps_per_unit))
-    h = length / steps
-    bounds = [chart.bounds(name) for name in chart.coordinate_names]
+def _sweep(connection, axis):
+    """Compiled RK4 sweep ``run(s0, h, steps, fiber, *x)`` of the fiber
+    values along the coordinate line of x[axis] from s0, holding the other
+    base coordinates ``x`` fixed, with slope the column Gamma^i_axis.  Every
+    stage point is checked against the chart box."""
+    chart = connection.chart
+    names = chart.coordinate_names
+    column = kernel.compile_exprs([row[axis] for row in connection.gamma], names)
+    base = [f"b{mu}" for mu in range(chart.m)]
+    bounds = [chart.bounds(name) for name in names]
 
-    def slope(s, fiber):
-        point = x[:axis] + [s] + x[axis + 1:] + fiber
-        for value, (low, high) in zip(point, bounds):
-            if not (low <= value <= high):
-                bindings = dict(zip(chart.coordinate_names, point))
-                raise OutsideChartError(
-                    f"integration left the chart box at {bindings}"
-                )
-        return column(*point)
+    def outside(*point):
+        bindings = dict(zip(names, point))
+        return OutsideChartError(f"integration left the chart box at {bindings}")
 
-    fiber = kernel.rk4(slope, y, x[axis], h, steps)
-    x[axis] = target
-    return fiber
+    def stage(fiber, k):
+        point = base[:axis] + ["s"] + base[axis + 1:] + fiber
+        args = ", ".join(point)
+        return [
+            f"if not ({kernel.box_test(point, bounds)}):",
+            f"    raise _outside({args})",
+            f"{', '.join(k)}, = _column({args})",
+        ]
+
+    env = {"_column": column, "_outside": outside}
+    return kernel.compile_rk4(chart.n, stage, env, params=base)
 
 
 def integral_section(
@@ -332,13 +334,7 @@ def integral_section(
     axes = list(order) if order is not None else list(range(chart.m))
     if sorted(axes) != list(range(chart.m)):
         raise ChartError(f"order must be a permutation of 0..{chart.m - 1}")
-    columns = [
-        kernel.compile_exprs(
-            [connection.gamma[i][axis] for i in range(chart.n)],
-            chart.coordinate_names,
-        )
-        for axis in range(chart.m)
-    ]
+    sweeps = [_sweep(connection, axis) for axis in range(chart.m)]
     results = []
     for target in targets:
         if len(target) != chart.m:
@@ -348,8 +344,10 @@ def integral_section(
         x = list(map(float, x0))
         y = list(map(float, y0))
         for axis in axes:
-            y = _rk4_sweep(
-                chart, columns[axis], axis, x, y, float(target[axis]), steps
-            )
+            length = float(target[axis]) - x[axis]
+            if length != 0.0:
+                count = max(1, round(abs(length) * steps))
+                y = sweeps[axis](x[axis], length / count, count, y, *x)
+                x[axis] = float(target[axis])
         results.append(y)
     return results

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import expr as ex
-from .bundle import BundleChart, Section, check_table, default_names
+from .bundle import BundleChart, Section, check_box, check_table, default_names
 from .connection import EhresmannConnection, VectorField
 from .errors import ChartError, NotLinearError
 
@@ -62,6 +62,7 @@ class ManifoldConnection:
         if len(set(self.coordinate_names)) != m:
             raise ChartError("manifold coordinate names must be distinct")
         check_table(self.gamma, (m, m, m), self.coordinate_names, "connection")
+        check_box(self.box, self.coordinate_names)
 
     @property
     def m(self):

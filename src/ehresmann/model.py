@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from . import expr as ex
-from .bundle import BundleChart, JetChart, Section, default_names
+from .bundle import BundleChart, JetChart, Section, check_box, default_names
 from .connection import EhresmannConnection
 from .errors import ChartError, EhresmannError, ModelError, ParseError
 from .jetfield import JetField2
@@ -79,7 +79,7 @@ def _names(value, prefix, what):
     raise ModelError(f"{what}: expected a dimension or a list of names")
 
 
-def _box(value, what):
+def _box(value, what, names):
     if value is None:
         return {}
     if not isinstance(value, dict):
@@ -89,6 +89,10 @@ def _box(value, what):
         if not (isinstance(bounds, list) and len(bounds) == 2):
             raise ModelError(f"{what}: box entry {name!r} must be [low, high]")
         out[name] = tuple(_number(bound, f"{what}.box.{name}") for bound in bounds)
+    try:
+        check_box(out, names)
+    except ChartError as err:
+        raise ModelError(f"{what}: {err}") from err
     return out
 
 
@@ -116,10 +120,13 @@ def load(path) -> ModelFile:
     probe_block = raw.get("probe") or {}
     if not isinstance(probe_block, dict):
         raise ModelError("probe: must be a mapping")
+    kinds = dict(points=int, low=float, high=float, tol=float, seed=int, max_retries=int)
+    unknown = sorted(map(str, set(probe_block) - set(kinds)))
+    if unknown:
+        raise ModelError(f"probe: unknown keys {unknown} (known: {', '.join(kinds)})")
     settings = {
         key: _number(probe_block.get(key, getattr(ex.DEFAULT_PROBE, key)), f"probe.{key}", kind)
-        for key, kind in (("points", int), ("low", float), ("high", float),
-                          ("tol", float), ("seed", int))
+        for key, kind in kinds.items()
     }
     try:
         model.probe = ex.ProbeConfig(**settings)
@@ -132,8 +139,9 @@ def load(path) -> ModelFile:
             raise ModelError("bundle: must be a mapping")
         base = _names(bundle_block.get("base", bundle_block.get("m")), "x", "bundle.base")
         fiber = _names(bundle_block.get("fiber", bundle_block.get("n")), "y", "bundle.fiber")
+        box = _box(bundle_block.get("box"), "bundle", base + fiber)
         try:
-            model.chart = BundleChart(base, fiber, _box(bundle_block.get("box"), "bundle"))
+            model.chart = BundleChart(base, fiber, box)
         except ChartError as err:
             raise ModelError(f"bundle: {err}") from err
 
@@ -144,7 +152,7 @@ def load(path) -> ModelFile:
         model.manifold_names = _names(
             manifold_block.get("coords", manifold_block.get("m")), "x", "manifold.coords"
         )
-        model.manifold_box = _box(manifold_block.get("box"), "manifold")
+        model.manifold_box = _box(manifold_block.get("box"), "manifold", model.manifold_names)
 
     def need_chart(where):
         if model.chart is None:

@@ -103,9 +103,15 @@ class TransportResult:
                 writer.writerow([repr(t)] + [repr(v) for v in vec])
 
 
-def _transport_rhs(mc, curve, columns):
-    """Right-hand side for ``columns`` vectors transported at once, stored
-    one after the other in a single state of columns * m values."""
+def _transport(mc, curve, y0, steps, record=None):
+    """RK4 solution of the transport ODE for the vectors stacked in y0, m
+    values each, with step (T - t0)/steps; returns (step size, final state).
+    The geometry (point, velocity, box check, nonzero Gamma entries) depends
+    on the time alone and is evaluated once per distinct time."""
+    if tuple(curve.coordinate_names) != tuple(mc.coordinate_names):
+        raise ChartError("curve and connection use different coordinates")
+    if steps < 1:
+        raise ChartError("steps must be at least 1")
     m = mc.m
     along = kernel.compile_exprs(
         [*curve.components, *curve.velocity_exprs], (PARAMETER_NAME,)
@@ -125,39 +131,34 @@ def _transport_rhs(mc, curve, columns):
         [(j, nu, mu) for j, (r, nu, mu) in enumerate(entries) if r == rho]
         for rho in range(m)
     ]
+    point = [f"p{i}" for i in range(m)]
     bounds = [mc.box.get(name, (-1e18, 1e18)) for name in mc.coordinate_names]
-    offsets = range(0, columns * m, m)
+    at = [  # the locals p (point), v (velocity) and g (Gamma entries) at time s
+        f"{', '.join(point + [f'v{i}' for i in range(m)])} = _along(s)",
+        f"if not ({kernel.box_test(point, bounds)}):",
+        "    raise _outside(s)",
+    ]
+    if entries:  # with none, there is no value to unpack
+        coefficients = "".join(f"g{j}, " for j in range(len(entries)))
+        at.append(f"{coefficients}= _gamma({', '.join(point)})")
 
-    def rhs(t, X):
-        values = along(t)
-        point, sigma_dot = values[:m], values[m:]
-        for value, (low, high) in zip(point, bounds):
-            if not (low <= value <= high):
-                raise OutsideChartError(f"curve leaves the chart box at t={t}")
-        g = gamma(*point)
-        out = []
-        for base in offsets:
-            for row in rows:
-                total = 0.0
-                for j, nu, mu in row:
-                    total += g[j] * X[base + mu] * sigma_dot[nu]
-                out.append(-total)
-        return out
+    def stage(X, k):
+        # -(0.0 + g X v + ...) per component, summed in the order of ``entries``
+        sums = (
+            "".join(f" + g{j} * {X[base + mu]} * v{nu}" for j, nu, mu in row)
+            for base in range(0, len(y0), m)
+            for row in rows
+        )
+        return [f"{out} = -(0.0{terms})" for out, terms in zip(k, sums)]
 
-    return rhs
+    def outside(t):
+        return OutsideChartError(f"curve leaves the chart box at t={t}")
 
-
-def _transport(mc, curve, y0, steps, record=None):
-    """RK4 solution of the transport ODE for the vectors stacked in y0, with
-    step (T - t0)/steps; returns (step size, final state)."""
-    if tuple(curve.coordinate_names) != tuple(mc.coordinate_names):
-        raise ChartError("curve and connection use different coordinates")
-    if steps < 1:
-        raise ChartError("steps must be at least 1")
+    env = {"_along": along, "_gamma": gamma, "_outside": outside}
+    run = kernel.compile_rk4(len(y0), stage, env, at)
     t0, t1 = map(float, curve.domain)
     h = (t1 - t0) / steps
-    rhs = _transport_rhs(mc, curve, len(y0) // mc.m)
-    return h, kernel.rk4(rhs, y0, t0, h, steps, record)
+    return h, run(t0, h, steps, y0, record=record)
 
 
 def parallel_transport(

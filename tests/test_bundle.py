@@ -1,5 +1,7 @@
 """Charts, sections and jet prolongation."""
 
+import math
+
 import pytest
 
 from ehresmann import expr as ex
@@ -57,6 +59,11 @@ class TestBundleChart:
     def test_box_unknown_coordinate(self):
         with pytest.raises(ChartError):
             BundleChart(("x",), ("y",), {"z": (0.0, 1.0)})
+
+    @pytest.mark.parametrize("bounds", [(1.0, 0.0), (1.0, 1.0), (math.nan, 1.0), (0.0, math.inf)])
+    def test_box_must_be_finite_interval(self, bounds):
+        with pytest.raises(ChartError, match="finite low < high"):
+            BundleChart(("x",), ("y",), {"y": bounds})
 
     def test_check_expression(self):
         chart = BundleChart.standard(1, 1)

@@ -17,6 +17,7 @@ from ehresmann.bundle import BundleChart
 from ehresmann.connection import EhresmannConnection, integral_section
 from ehresmann.errors import DomainError, EvaluationError, OutsideChartError
 from ehresmann.kernel import compile_exprs
+from ehresmann.linear import ManifoldConnection
 from ehresmann.model import load
 from ehresmann.transport import Curve, holonomy, parallel_transport
 
@@ -196,9 +197,33 @@ def reference_section(connection, x0, y0, targets, steps):
     return results
 
 
+def reference_holonomy(mc, curve, steps):
+    m = mc.m
+    basis = [[1.0 if r == c else 0.0 for r in range(m)] for c in range(m)]
+    columns = [reference_transport(mc, curve, e, steps)[1][-1] for e in basis]
+    return [[columns[c][r] for c in range(m)] for r in range(m)]
+
+
 @pytest.fixture(scope="module")
 def sphere():
     return load(SPHERE)
+
+
+LOOPS = {  # closed curves through the random connections' coordinates
+    2: ("0.5 * cos(t)", "0.3 * sin(t) - 0.1"),
+    3: ("0.5 * cos(t)", "0.5 * sin(t)", "0.2 * sin(2 * t)"),
+}
+
+
+def _same_bits(got, expected):
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(got) == repr(expected)
+
+
+def _error_text(fn):
+    with pytest.raises(OutsideChartError) as caught:
+        fn()
+    return str(caught.value)
 
 
 class TestAgainstReference:
@@ -229,6 +254,68 @@ class TestAgainstReference:
         targets = [[0.8, -0.6], [-0.3, 0.4]]
         got = integral_section(conn, [0.0, 0.0], [0.5, -0.5], targets, 60, check_integrable=False)
         assert got == reference_section(conn, [0.0, 0.0], [0.5, -0.5], targets, 60)
+
+    @pytest.mark.parametrize("steps", [1, 2, 37])
+    @pytest.mark.parametrize("dim, seed", [(2, 601), (2, 602), (3, 603), (3, 604)])
+    def test_random_connection(self, dim, seed, steps):
+        mc = random_symmetric_manifold_connection(random.Random(seed), dim)
+        curve = Curve(mc.coordinate_names, tuple(map(ex.parse, LOOPS[dim])), (0.0, TAU))
+        u0 = [0.3, -1.1, 0.7][:dim]
+        result = parallel_transport(mc, curve, u0, steps)
+        _same_bits((result.times, result.vectors), reference_transport(mc, curve, u0, steps))
+        _same_bits(holonomy(mc, curve, steps), reference_holonomy(mc, curve, steps))
+
+    @pytest.mark.parametrize("steps", [1, 2, 37])
+    def test_zero_coefficients(self, steps):
+        zero = ((ex.ZERO, ex.ZERO), (ex.ZERO, ex.ZERO))
+        mc = ManifoldConnection(("x1", "x2"), (zero, zero))
+        curve = Curve(mc.coordinate_names, tuple(map(ex.parse, LOOPS[2])), (0.0, TAU))
+        result = parallel_transport(mc, curve, [0.0, -0.0], steps)
+        _same_bits((result.times, result.vectors), reference_transport(mc, curve, [0.0, -0.0], steps))
+        _same_bits(holonomy(mc, curve, steps), reference_holonomy(mc, curve, steps))
+
+    def test_transport_leaves_box_at_midpoint(self):
+        # th = 3 + 0.3 t is inside th <= 3.13 at t = 0.4 and outside at 0.45
+        mc = sphere_connection()
+        curve = Curve(("th", "ph"), (ex.parse("3.0 + 0.3 * t"), ex.Var("t")))
+        text = _error_text(lambda: parallel_transport(mc, curve, [1.0, 0.0], 10))
+        assert text == _error_text(lambda: reference_transport(mc, curve, [1.0, 0.0], 10))
+        assert 0.4 < float(text.split("t=")[1]) < 0.5
+
+    def test_holonomy_leaves_box_at_midpoint(self):
+        # with h = pi/3, th = 3 + 0.14 sin(t) first passes 3.13 at t = pi/2
+        mc = sphere_connection()
+        curve = Curve(("th", "ph"), (ex.parse("3.0 + 0.14 * sin(t)"), ex.Var("t")),
+                      (0.0, TAU), {"ph": TAU})
+        text = _error_text(lambda: holonomy(mc, curve, 6))
+        assert text == _error_text(lambda: reference_holonomy(mc, curve, 6))
+        assert text == f"curve leaves the chart box at t={math.pi / 3 + math.pi / 6}"
+
+    def test_section_permuted_order(self):
+        order = (2, 0, 1)
+        rng = random.Random(605)
+        chart = BundleChart.standard(3, 2)
+        gamma = tuple(
+            tuple(random_smooth(rng, list(chart.coordinate_names), 3) for _ in range(3))
+            for _ in range(2)
+        )
+        x0, y0 = [0.1, 0.0, -0.1], [0.2, -0.4]
+        targets = [[0.4, -0.3, 0.2], [-0.2, 0.1, 0.5], [0.1, 0.6, -0.1]]
+        conn = EhresmannConnection(chart, gamma)
+        got = integral_section(conn, x0, y0, targets, 40, order, check_integrable=False)
+        # the reference sweeps its axes in ascending order, so relabel the
+        # base coordinates: its axis k is this sweep's axis order[k]
+        def permute(p):
+            return [p[axis] for axis in order]
+
+        relabelled = EhresmannConnection(
+            BundleChart(tuple(permute(chart.base_names)), chart.fiber_names),
+            tuple(tuple(permute(row)) for row in gamma),
+        )
+        expected = reference_section(relabelled, permute(x0), y0, list(map(permute, targets)), 40)
+        _same_bits(got, expected)
+        ascending = integral_section(conn, x0, y0, targets, 40, check_integrable=False)
+        assert ascending != got  # curved: the order matters
 
 
 class TestHolonomyColumns:

@@ -1,6 +1,7 @@
 """Linear connections: homogeneity, Christoffel symbols, covariant
 derivatives, the Leibniz rule and torsion."""
 
+import math
 import random
 
 import pytest
@@ -200,6 +201,15 @@ class TestManifoldConnection:
     def test_unknown_coordinate_rejected(self):
         with pytest.raises(ChartError):
             ManifoldConnection(("x1",), (((ex.parse("q"),),),))
+
+    def test_box_unknown_coordinate(self):
+        with pytest.raises(ChartError, match="unknown coordinate 'x2'"):
+            ManifoldConnection(("x1",), (((ex.ZERO,),),), {"x2": (0.0, 1.0)})
+
+    @pytest.mark.parametrize("bounds", [(1.0, -1.0), (0.0, math.nan), (-math.inf, 1.0)])
+    def test_box_must_be_finite_interval(self, bounds):
+        with pytest.raises(ChartError, match="finite low < high"):
+            ManifoldConnection(("x1",), (((ex.ZERO,),),), {"x1": bounds})
 
 
 class TestTorsion:

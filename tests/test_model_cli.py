@@ -30,6 +30,11 @@ class TestModelLoading:
         assert model.probe.seed == 20240815
         assert model.chart.bounds("x1") == (-4.0, 4.0)
 
+    def test_probe_max_retries(self, tmp_path):
+        path = tmp_path / "retries.yaml"
+        path.write_text(Path(PLANE).read_text().split("probe:")[0] + "probe: {max_retries: 5}\n")
+        assert load(str(path)).probe.max_retries == 5
+
     def test_sphere_model(self):
         model = load(SPHERE)
         assert model.manifold_names == ("th", "ph")
@@ -231,6 +236,7 @@ class TestCliCommands:
         sphere = Path(SPHERE).read_text().split("probe:")[0]
         integrable = ["integrable", "--connection", "curved"]
         holonomy = ["holonomy", "--manifold-connection", "levi_civita", "--curve", "lat60"]
+        torsion = ["torsion", "--manifold-connection", "levi_civita"]
         bad_models = {
             "points-0": (plane + "probe: {points: 0}\n", integrable),
             "tol-nan": (plane + "probe: {tol: .nan}\n", integrable),
@@ -241,6 +247,15 @@ class TestCliCommands:
             "points-inf": (plane + "probe: {points: .inf}\n", integrable),
             "seed-abc": (plane + "probe: {seed: abc}\n", integrable),
             "bundle-box": (plane.replace("x1: [-4.0, 4.0]", "x1: [a, 4.0]"), integrable),
+            # an empty or non-finite chart box, for the bundle and the manifold
+            "bundle-box-empty": (plane.replace("x1: [-4.0, 4.0]", "x1: [4.0, -4.0]"), integrable),
+            "bundle-box-nan": (plane.replace("x1: [-4.0, 4.0]", "x1: [.nan, 4.0]"), integrable),
+            "manifold-box-empty": (sphere.replace("th: [0.01, 3.13]", "th: [3.13, 0.01]"), torsion),
+            "manifold-box-nan": (sphere.replace("th: [0.01, 3.13]", "th: [0.01, .nan]"), torsion),
+            "manifold-box-unknown": (sphere.replace("th: [0.01, 3.13]", "thh: [0.01, 3.13]"), torsion),
+            # a probe key that is not one, and max_retries read from the file
+            "probe-unknown-key": (plane + "probe: {point: 0}\n", integrable),
+            "max-retries-0": (plane + "probe: {max_retries: 0}\n", integrable),
             "domain": (sphere.replace("domain: [0.0, 1.0]", "domain: [a, 1.0]"), holonomy),
             "periods": (sphere.replace("ph: 6.283185307179586", "ph: abc", 1), holonomy),
         }
