@@ -93,13 +93,6 @@ class BundleChart:
     def bounds(self, name):
         return self.box.get(name, (-DEFAULT_BOX_HALF_WIDTH, DEFAULT_BOX_HALF_WIDTH))
 
-    def contains(self, bindings):
-        for name, value in bindings.items():
-            low, high = self.bounds(name)
-            if not (low <= value <= high):
-                return False
-        return True
-
     @staticmethod
     def check_expression(e, allowed, what):
         extra = ex.free_variables(e) - set(allowed)
@@ -111,8 +104,7 @@ class BundleChart:
 
 @dataclass(frozen=True)
 class JetChart:
-    """First-jet chart over a BundleChart; coordinates (x, y, y_mu).
-    For second jets the extra names (z_nu, z_numu) are derived on demand."""
+    """First-jet chart over a BundleChart; coordinates (x, y, y_mu)."""
 
     bundle: BundleChart
 
@@ -123,23 +115,6 @@ class JetChart:
     @property
     def coordinate_names(self):
         return self.bundle.coordinate_names + self.jet_coordinate_names
-
-    def second_jet_names(self):
-        """Names (z^i_nu, z^i_{nu mu}) for the J1J1 chart, (i outer, nu, mu
-        inner) row-major."""
-        m = self.bundle.m
-        z1 = tuple(
-            f"z{fiber[1:]}_{nu}"
-            for fiber in self.bundle.fiber_names
-            for nu in range(1, m + 1)
-        )
-        z2 = tuple(
-            f"z{fiber[1:]}_{nu}_{mu}"
-            for fiber in self.bundle.fiber_names
-            for nu in range(1, m + 1)
-            for mu in range(1, m + 1)
-        )
-        return z1, z2
 
 
 @dataclass(frozen=True)
@@ -158,10 +133,6 @@ class Section:
             self.chart.check_expression(
                 comp, self.chart.base_names, f"section component {i + 1}"
             )
-
-    def evaluate(self, base_point):
-        bindings = dict(zip(self.chart.base_names, base_point))
-        return [ex.evaluate(comp, bindings) for comp in self.components]
 
 
 @dataclass(frozen=True)

@@ -278,7 +278,7 @@ def _sweep(connection, axis):
     stage point is checked against the chart box."""
     chart = connection.chart
     names = chart.coordinate_names
-    column = kernel.compile_exprs([row[axis] for row in connection.gamma], names)
+    column = ex.compile_exprs([row[axis] for row in connection.gamma], names)
     base = [f"b{mu}" for mu in range(chart.m)]
     bounds = [chart.bounds(name) for name in names]
 
@@ -334,7 +334,7 @@ def integral_section(
     axes = list(order) if order is not None else list(range(chart.m))
     if sorted(axes) != list(range(chart.m)):
         raise ChartError(f"order must be a permutation of 0..{chart.m - 1}")
-    sweeps = [_sweep(connection, axis) for axis in range(chart.m)]
+    sweeps = {}  # axis -> its compiled sweep, built when a target first moves along it
     results = []
     for target in targets:
         if len(target) != chart.m:
@@ -347,6 +347,8 @@ def integral_section(
             length = float(target[axis]) - x[axis]
             if length != 0.0:
                 count = max(1, round(abs(length) * steps))
+                if axis not in sweeps:
+                    sweeps[axis] = _sweep(connection, axis)
                 y = sweeps[axis](x[axis], length / count, count, y, *x)
                 x[axis] = float(target[axis])
         results.append(y)

@@ -5,10 +5,16 @@ products, powers with a numeric exponent, negation, and the elementary
 functions sin/cos/exp/log.  Expressions are hashable values; every operation
 returns a new tree.
 
+Numbers come from one evaluator: :func:`compile_exprs` turns expressions into
+one straight-line Python function over ``math``, in which every distinct
+subtree is evaluated once per point and every way out of the reals raises
+:class:`DomainError`.  :func:`evaluate`, probing and the integrators all run
+through it.
+
 Zero-testing is probabilistic: after a shallow structural normalization
 (flatten, constant-fold, collect syntactically identical terms) an expression
-that did not collapse to the literal 0 is evaluated at pseudo-random probe
-points drawn from a configurable box.
+that did not collapse to the literal 0 is compiled once and evaluated at
+pseudo-random probe points drawn from a configurable box.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "to_text",
     "free_variables",
     "evaluate",
+    "compile_exprs",
     "differentiate",
     "substitute",
     "normalize",
@@ -270,7 +277,10 @@ class _Parser:
     def _numeric(self, expr, offset):
         if free_variables(expr):
             raise ParseError("exponent must be numeric", offset)
-        value = evaluate(expr, {})
+        folded = normalize(expr)
+        if not isinstance(folded, Const):
+            evaluate(expr, {})  # raises the DomainError that kept it symbolic
+        value = folded.value
         if not math.isfinite(value):
             raise ParseError("exponent must be finite", offset)
         return value
@@ -405,67 +415,167 @@ def free_variables(e: Expr) -> frozenset:
 
 
 def evaluate(e: Expr, bindings) -> float:
-    """IEEE double evaluation.  Unbound variables raise
+    """IEEE double value of ``e`` at ``bindings`` (name -> number).  Compiles
+    ``e`` once per call; to evaluate at many points, compile once with
+    :func:`compile_exprs` and call the result.  Unbound variables raise
     :class:`EvaluationError`; out-of-domain points raise :class:`DomainError`
     rather than returning NaN."""
-    value, _ = _evaluate_scaled(e, bindings)
-    return value
+    return compile_exprs([e], list(bindings))(*map(float, bindings.values()))[0]
 
 
-def _evaluate_scaled(e, bindings):
-    """Returns (value, scale) with scale = max |v| over all sub-values;
-    the scale feeds the relative tolerance in probing."""
-    if isinstance(e, Const):
-        return e.value, abs(e.value)
-    if isinstance(e, Var):
-        try:
-            value = float(bindings[e.name])
-        except KeyError:
-            raise EvaluationError(f"unbound variable {e.name!r}")
-        return value, abs(value)
-    if isinstance(e, Sum):
-        total, scale = 0.0, 0.0
-        for term in e.terms:
-            value, s = _evaluate_scaled(term, bindings)
-            total += value
-            scale = max(scale, s, abs(value))
-        return total, max(scale, abs(total))
-    if isinstance(e, Prod):
-        total, scale = 1.0, 0.0
-        for factor in e.factors:
-            value, s = _evaluate_scaled(factor, bindings)
-            total *= value
-            scale = max(scale, s, abs(value))
-        return total, max(scale, abs(total))
-    if isinstance(e, Pow):
-        base, scale = _evaluate_scaled(e.base, bindings)
-        value = _power(base, e.exponent)
-        return value, max(scale, abs(value))
-    if isinstance(e, Neg):
-        value, scale = _evaluate_scaled(e.arg, bindings)
-        return -value, scale
-    if isinstance(e, Call):
-        argument, scale = _evaluate_scaled(e.arg, bindings)
-        try:
-            if e.func == "sin":
-                value = math.sin(argument)
-            elif e.func == "cos":
-                value = math.cos(argument)
-            elif e.func == "exp":
-                try:
-                    value = math.exp(argument)
-                except OverflowError:
-                    raise DomainError(f"exp overflow at {argument}")
-            elif e.func == "log":
-                if argument <= 0.0:
-                    raise DomainError(f"log of non-positive value {argument}")
-                value = math.log(argument)
-            else:
+def _evaluate_scaled(e, names):
+    """Compiles ``e`` once over ``names`` and returns ``at(bindings)``, for
+    bindings of ``names`` in that order as :func:`probe_values` draws them.
+    ``at`` gives (value, scale) with scale = max |v| over the values of all
+    nodes, the base of the relative tolerance in probing, and raises
+    :class:`DomainError` where either is not finite."""
+    env, args, lines, (result,), sizes = _generate([e], names)
+    largest = sizes[0] if len(sizes) == 1 else f"max({', '.join(sizes)})"
+    scaled = _define(env, args, lines, f"{result}, {largest}")
+
+    def at(bindings):
+        value, scale = scaled(*bindings.values())
+        if not (math.isfinite(value) and math.isfinite(scale)):
+            raise DomainError(f"non-finite value {value} (scale {scale})")
+        return value, scale
+
+    return at
+
+
+def compile_exprs(exprs, names):
+    """One function ``f(*values)`` returning the list of the expressions'
+    values at the point ``dict(zip(names, values))``; the values must be
+    floats.  A variable outside ``names`` raises :class:`EvaluationError`
+    here, not at call time."""
+    env, args, lines, results, _ = _generate(exprs, names)
+    return _define(env, args, lines, f"[{', '.join(results)}]")
+
+
+def _generate(exprs, names):
+    """Straight-line source for ``exprs`` over the arguments named by
+    ``names``: (globals, arguments, lines, the operand holding each
+    expression's value, the operands whose maximum is the largest |v| over
+    all nodes).  Every distinct operation is one statement, so a subtree that
+    occurs twice is evaluated once."""
+    args = {name: f"a{k}" for k, name in enumerate(names)}
+    env = {
+        "_sin": math.sin,
+        "_cos": math.cos,
+        "_exp": math.exp,
+        "_log": math.log,
+        "_power": _power,
+        "_DomainError": DomainError,
+    }
+    lines = []
+    atoms = {}  # operation on operands -> variable holding its value
+    sizes = {}  # |v| of each variable and operation, as operands of max()
+    constants = [0.0]  # |c| of each constant, inf for a non-finite one
+
+    def bind(value):
+        name = f"c{len(env)}"
+        env[name] = value
+        return name
+
+    def emit(e):
+        if isinstance(e, Const):
+            value = float(e.value)
+            if math.isfinite(value):
+                constants.append(abs(value))
+                return f"({value!r})"  # -0.0 keeps its sign as a literal
+            constants.append(math.inf)
+            return bind(value)  # repr of inf/nan is not source
+        if isinstance(e, Var):
+            if e.name not in args:
+                raise EvaluationError(f"unbound variable {e.name!r}")
+            sizes[f"abs({args[e.name]})"] = True
+            return args[e.name]
+        if isinstance(e, Sum):
+            key = ("+",) + tuple(emit(t) for t in e.terms)
+        elif isinstance(e, Prod):
+            key = ("*",) + tuple(emit(f) for f in e.factors)
+        elif isinstance(e, Neg):
+            key = ("-", emit(e.arg))
+        elif isinstance(e, Pow):
+            key = ("^", emit(e.base), e.exponent)
+        elif isinstance(e, Call):
+            if e.func not in _FUNCTIONS:
                 raise EvaluationError(f"unknown function {e.func!r}")
-        except ValueError:  # sin or cos of an infinity
-            raise DomainError(f"{e.func} of non-finite value {argument}")
-        return value, max(scale, abs(value))
-    raise TypeError(f"not an expression: {e!r}")
+            key = (e.func, emit(e.arg))
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+        if key not in atoms:
+            atoms[key] = v = f"v{len(atoms)}"
+            lines.extend(_statements(v, key, bind))
+            if key[0] != "-":  # a negation has its operand's size
+                sizes[f"abs({v})"] = True
+        return atoms[key]
+
+    results = [emit(e) for e in exprs]
+    top = max(constants)  # first, so that an infinite one decides the max
+    return env, args.values(), lines, results, [repr(top) if top < math.inf else bind(top), *sizes]
+
+
+def _define(env, args, lines, returned):
+    source = "\n".join([f"def _kernel({', '.join(args)}):", *lines, f"    return {returned}"])
+    exec(compile(source, "<ehresmann.expr>", "exec"), env)
+    return env["_kernel"]
+
+
+_CHAIN = 256  # operands per statement of a long sum or product
+
+
+def _statements(v, key, bind):
+    """Source lines assigning to ``v`` the value of one operation on
+    operands.  These are the package's evaluation rules: IEEE arithmetic,
+    with each way out of the reals raised as :class:`DomainError`."""
+    op, operands = key[0], key[1:]
+    if op == "+" or op == "*":
+        # left to right from 0.0 or 1.0; long chains are cut into statements
+        # to stay within the compiler's depth
+        total, lines = "0.0" if op == "+" else "1.0", []
+        for start in range(0, max(len(operands), 1), _CHAIN):
+            chain = (total,) + operands[start:start + _CHAIN]
+            lines.append(f"    {v} = {f' {op} '.join(chain)}")
+            total = v
+        return lines
+    if op == "-":
+        return [f"    {v} = -{operands[0]}"]
+    a = operands[0]
+    if op == "sin" or op == "cos":
+        return [
+            "    try:",
+            f"        {v} = _{op}({a})",
+            "    except ValueError:",
+            f'        raise _DomainError(f"{op} of non-finite value {{{a}}}")',
+        ]
+    if op == "exp":
+        return [
+            "    try:",
+            f"        {v} = _exp({a})",
+            "    except OverflowError:",
+            f'        raise _DomainError(f"exp overflow at {{{a}}}")',
+        ]
+    if op == "log":
+        return [
+            f"    if {a} <= 0.0:",
+            f'        raise _DomainError(f"log of non-positive value {{{a}}}")',
+            f"    {v} = _log({a})",
+        ]
+    exponent = operands[1]
+    if not math.isfinite(exponent):
+        return [f"    {v} = _power({a}, {bind(exponent)})"]
+    # the common base is computed inline; zero and negative bases take
+    # _power's branches
+    if exponent == int(exponent):
+        power, fast = repr(int(exponent)), f"{a} != 0.0"
+    else:
+        power, fast = repr(float(exponent)), f"{a} > 0.0"
+    return [
+        "    try:",
+        f"        {v} = {a} ** {power} if {fast} else _power({a}, {power})",
+        "    except OverflowError:",
+        '        raise _DomainError("power overflow")',
+    ]
 
 
 def _power(base, exponent):
@@ -609,10 +719,10 @@ def _normalize_node(e):
         return _normalize_product((Const(-1.0), e.arg))
     if isinstance(e, Call):
         arg = normalize(e.arg)
-        if isinstance(arg, Const):
+        if isinstance(arg, Const) and e.func in _FUNCTIONS:
             try:
-                return Const(evaluate(Call(e.func, arg), {}))
-            except DomainError:
+                return Const(getattr(math, e.func)(arg.value))
+            except (ValueError, OverflowError):  # out of domain: kept symbolic
                 pass
         return e if arg is e.arg else Call(e.func, arg)
     if isinstance(e, Pow):
@@ -817,29 +927,15 @@ def probe_values(at, names, probe: ProbeConfig = DEFAULT_PROBE):
         yield value
 
 
-def _probe_value(e, bindings):
-    """(value, scale) as in probing, where scale = max |v| over all
-    sub-values feeds the relative tolerance.  Raises :class:`DomainError`
-    when either is not finite."""
-    value, scale = _evaluate_scaled(e, bindings)
-    if not (math.isfinite(value) and math.isfinite(scale)):
-        raise DomainError(f"non-finite value {value} (scale {scale})")
-    return value, scale
-
-
 def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE) -> bool:
     """True iff the expression vanishes identically, decided by structural
-    normalization plus random probing with relative tolerance.  A probe
+    normalization plus random probing with relative tolerance.  The
+    normalized tree is compiled once and probed at every point.  A probe
     point where the value or the scale is not finite counts as out of
     domain: a non-finite number is never zero."""
     normalized = normalize(e)
     if isinstance(normalized, Const):
         return abs(normalized.value) <= probe.tol
     names = sorted(free_variables(normalized))
-    values = probe_values(lambda bindings: _probe_value(normalized, bindings), names, probe)
+    values = probe_values(_evaluate_scaled(normalized, names), names, probe)
     return all(abs(value) <= probe.tol * (1.0 + scale) for value, scale in values)
-
-
-def all_zero(exprs, probe: ProbeConfig = DEFAULT_PROBE) -> bool:
-    """Vector version of :func:`is_zero`."""
-    return all(is_zero(e, probe) for e in exprs)

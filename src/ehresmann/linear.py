@@ -91,14 +91,6 @@ class ManifoldConnection:
         Gamma^rho_mu = -Gamma^rho_{mu nu} v^nu."""
         return linear_to_ehresmann(self.to_christoffel())
 
-    def evaluate(self, base_point):
-        """Numeric m x m x m array of coefficients at a base point."""
-        bindings = dict(zip(self.coordinate_names, base_point))
-        return [
-            [[ex.evaluate(entry, bindings) for entry in row] for row in plane]
-            for plane in self.gamma
-        ]
-
 
 @dataclass(frozen=True)
 class TorsionTensor:

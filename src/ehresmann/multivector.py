@@ -120,9 +120,8 @@ def is_transverse(mv: Multivector, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> 
     normalized = ex.normalize(pairing)
     if isinstance(normalized, ex.Const):
         return abs(normalized.value) > probe.tol
-    values = ex.probe_values(
-        lambda bindings: ex._probe_value(normalized, bindings), mv.chart.coordinate_names, probe
-    )
+    names = mv.chart.coordinate_names
+    values = ex.probe_values(ex._evaluate_scaled(normalized, names), names, probe)
     return all(abs(value) > probe.tol * (1.0 + scale) for value, scale in values)
 
 
@@ -157,10 +156,10 @@ def _plucker(matrix):
     ]
 
 
-def _wedge(mv: Multivector, bindings, tol):
-    """Plücker coordinates of the factors at a point, with the bound
-    prod |X_i| on their size (Hadamard) as the scale of the tolerance."""
-    matrix = [[ex.evaluate(c, bindings) for c in factor.components] for factor in mv.factors]
+def _wedge(matrix, tol):
+    """Plücker coordinates of the factors' values at a point, one row per
+    factor, with the bound prod |X_i| on their size (Hadamard) as the scale
+    of the tolerance."""
     p = _plucker(matrix)
     scale = math.prod(math.hypot(*row) for row in matrix)
     if not (math.isfinite(scale) and all(map(math.isfinite, p))):
@@ -181,12 +180,18 @@ def same_class(
     representative whose coordinates vanish at a point raises."""
     if mv1.chart != mv2.chart:
         raise ChartError("multivectors live on different charts")
-    tol = probe.tol
-    pairs = ex.probe_values(
-        lambda bindings: (_wedge(mv1, bindings, tol), _wedge(mv2, bindings, tol)),
-        mv1.chart.coordinate_names,
-        probe,
+    tol, m = probe.tol, mv1.chart.m
+    names = mv1.chart.coordinate_names  # each factor has one component per name
+    values = ex.compile_exprs(
+        [c for mv in (mv1, mv2) for factor in mv.factors for c in factor.components], names
     )
+
+    def at(bindings):
+        flat = values(*bindings.values())
+        rows = [flat[k:k + len(names)] for k in range(0, len(flat), len(names))]
+        return _wedge(rows[:m], tol), _wedge(rows[m:], tol)
+
+    pairs = ex.probe_values(at, names, probe)
     previous = 0.0
     for (p, _), (q, scale) in pairs:
         k = max(range(len(p)), key=lambda i: abs(p[i]))

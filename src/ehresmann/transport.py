@@ -59,14 +59,11 @@ class Curve:
             raise ChartError("curve domain must be a nondegenerate interval")
 
     def point(self, t):
-        return [ex.evaluate(comp, {PARAMETER_NAME: t}) for comp in self.components]
+        return ex.compile_exprs(self.components, (PARAMETER_NAME,))(float(t))
 
     @cached_property
     def velocity_exprs(self):
         return tuple(ex.differentiate(comp, PARAMETER_NAME) for comp in self.components)
-
-    def velocity(self, t):
-        return [ex.evaluate(comp, {PARAMETER_NAME: t}) for comp in self.velocity_exprs]
 
     def is_closed(self, tol=1e-12):
         start = self.point(self.domain[0])
@@ -113,20 +110,8 @@ def _transport(mc, curve, y0, steps, record=None):
     if steps < 1:
         raise ChartError("steps must be at least 1")
     m = mc.m
-    along = kernel.compile_exprs(
-        [*curve.components, *curve.velocity_exprs], (PARAMETER_NAME,)
-    )
-    # literal zero coefficients only add signed zeros to a finite sum
-    entries = [
-        (rho, nu, mu)
-        for rho in range(m)
-        for nu in range(m)
-        for mu in range(m)
-        if mc.gamma[rho][nu][mu] != ex.ZERO
-    ]
-    gamma = kernel.compile_exprs(
-        [mc.gamma[rho][nu][mu] for rho, nu, mu in entries], mc.coordinate_names
-    )
+    along = ex.compile_exprs([*curve.components, *curve.velocity_exprs], (PARAMETER_NAME,))
+    entries, gamma = _gamma(mc)
     rows = [
         [(j, nu, mu) for j, (r, nu, mu) in enumerate(entries) if r == rho]
         for rho in range(m)
@@ -161,6 +146,23 @@ def _transport(mc, curve, y0, steps, record=None):
     return h, run(t0, h, steps, y0, record=record)
 
 
+def _gamma(mc):
+    """The indices (rho, nu, mu) of the Gamma entries that are not a literal
+    zero, ascending, and one compiled function of the point giving their
+    values.  The zeros are left out of every contraction Gamma u v: they
+    would only add signed zeros to a finite sum."""
+    m = mc.m
+    entries = [
+        (rho, nu, mu)
+        for rho in range(m)
+        for nu in range(m)
+        for mu in range(m)
+        if mc.gamma[rho][nu][mu] != ex.ZERO
+    ]
+    values = [mc.gamma[rho][nu][mu] for rho, nu, mu in entries]
+    return entries, ex.compile_exprs(values, mc.coordinate_names)
+
+
 def parallel_transport(
     mc: ManifoldConnection, curve: Curve, u0, steps=10_000
 ) -> TransportResult:
@@ -193,19 +195,15 @@ def horizontal_lift_vector(mc: ManifoldConnection, p, u, v):
     m = mc.m
     if len(p) != m or len(u) != m or len(v) != m:
         raise ChartError("point and vectors need m components each")
-    bindings = dict(zip(mc.coordinate_names, p))
-    for name, value in bindings.items():
+    for name, value in zip(mc.coordinate_names, p):
         low, high = mc.box.get(name, (-1e18, 1e18))
         if not (low <= value <= high):
             raise OutsideChartError(f"point outside the chart box: {name}={value}")
-    vertical = []
-    for rho in range(m):
-        total = 0.0
-        for nu in range(m):
-            for mu in range(m):
-                total += ex.evaluate(mc.gamma[rho][nu][mu], bindings) * u[mu] * v[nu]
-        vertical.append(-total)
-    return list(v) + vertical
+    entries, gamma = _gamma(mc)
+    totals = [0.0] * m
+    for (rho, nu, mu), value in zip(entries, gamma(*map(float, p))):
+        totals[rho] += value * u[mu] * v[nu]
+    return list(v) + [-total for total in totals]
 
 
 def hv_project_tm(mc: ManifoldConnection, base_components, fiber_components):
@@ -292,13 +290,11 @@ def covariant_via_complete_lift(mc: ManifoldConnection, X, Y, p, tol=1e-9):
         raise ChartError("fields and point need m components each")
     base, fiber = complete_lift(mc, Y)
     _, vertical_part = hv_project_tm(mc, base, fiber)
-    bindings = dict(zip(mc.coordinate_names, p))
-    x_at_p = [ex.evaluate(comp, bindings) for comp in X]
-    point_bindings = dict(bindings)
-    point_bindings.update(zip(mc.tangent_chart().fiber_names, x_at_p))
-    lifted = [ex.evaluate(comp, point_bindings) for comp in vertical_part[1]]
-    direct_exprs = covariant_derivative_direct(mc, X, Y)
-    direct = [ex.evaluate(comp, bindings) for comp in direct_exprs]
+    names, p = mc.coordinate_names, [float(value) for value in p]
+    x_at_p = ex.compile_exprs(X, names)(*p)
+    tangent = mc.tangent_chart().coordinate_names  # (x, v)
+    lifted = ex.compile_exprs(vertical_part[1], tangent)(*p, *x_at_p)
+    direct = ex.compile_exprs(covariant_derivative_direct(mc, X, Y), names)(*p)
     for a, b in zip(lifted, direct):
         if abs(a - b) > tol * (1.0 + abs(a) + abs(b)):
             raise EhresmannError(

@@ -9,6 +9,8 @@ from ehresmann.bundle import BundleChart
 from ehresmann.connection import EhresmannConnection
 from ehresmann.linear import ManifoldConnection
 
+import tree_walker
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 TAU = 2.0 * math.pi
@@ -24,7 +26,7 @@ def central_difference(e, name, bindings, h=1e-5):
     down = dict(bindings)
     up[name] = bindings[name] + h
     down[name] = bindings[name] - h
-    return (ex.evaluate(e, up) - ex.evaluate(e, down)) / (2.0 * h)
+    return (tree_walker.evaluate(e, up) - tree_walker.evaluate(e, down)) / (2.0 * h)
 
 
 def random_polynomial(rng, names, max_terms=4, max_degree=3, coeff_range=3):

@@ -53,6 +53,7 @@ from ehresmann.transport import (
     rotation_angle,
 )
 
+import tree_walker
 from conftest import (
     CLI_CASES,
     central_difference,
@@ -382,7 +383,7 @@ def test_criterion_10_complete_lift_identity():
             lifted = covariant_via_complete_lift(mc, X, Y, p, tol=1e-9)
             bindings = dict(zip(names, p))
             for a, comp in zip(lifted, direct):
-                b = ex.evaluate(comp, bindings)
+                b = tree_walker.evaluate(comp, bindings)
                 gap = abs(a - b) / (1.0 + abs(b))
                 worst = max(worst, gap)
                 ok = ok and gap <= 1e-9
@@ -409,7 +410,7 @@ def test_criterion_11_symbolic_derivative_oracle():
         for _ in range(10):
             bindings = {n: rng.uniform(-1.0, 1.0) for n in names}
             try:
-                symbolic = ex.evaluate(derivative, bindings)
+                symbolic = tree_walker.evaluate(derivative, bindings)
                 numeric = central_difference(e, var, bindings)
             except Exception:
                 continue

@@ -53,8 +53,6 @@ class TestBundleChart:
         chart = BundleChart(("x",), ("y",), {"x": (0.0, 1.0)})
         assert chart.bounds("x") == (0.0, 1.0)
         assert chart.bounds("y") == (-10.0, 10.0)
-        assert chart.contains({"x": 0.5, "y": 3.0})
-        assert not chart.contains({"x": 1.5})
 
     def test_box_unknown_coordinate(self):
         with pytest.raises(ChartError):
@@ -79,19 +77,8 @@ class TestJetChart:
             "x1", "x2", "y1", "y2", "y1_1", "y1_2", "y2_1", "y2_2",
         )
 
-    def test_second_jet_names(self):
-        jc = JetChart(BundleChart.standard(2, 1))
-        z1, z2 = jc.second_jet_names()
-        assert z1 == ("z1_1", "z1_2")
-        assert z2 == ("z1_1_1", "z1_1_2", "z1_2_1", "z1_2_2")
-
 
 class TestSection:
-    def test_evaluate(self):
-        chart = BundleChart.standard(2, 1)
-        phi = Section(chart, (ex.parse("x1 * x2"),))
-        assert phi.evaluate([2.0, 3.0]) == [6.0]
-
     def test_fiber_variable_rejected(self):
         chart = BundleChart.standard(1, 1)
         with pytest.raises(ChartError):

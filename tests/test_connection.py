@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from ehresmann import connection as cn
 from ehresmann import expr as ex
 from ehresmann.bundle import BundleChart, Section
 from ehresmann.connection import (
@@ -27,6 +28,7 @@ from ehresmann.connection import (
 )
 from ehresmann.errors import ChartError, NotIntegrableError, OutsideChartError
 
+import tree_walker
 from conftest import random_connection, random_polynomial
 
 
@@ -165,14 +167,14 @@ class TestCurvature:
                 # finite-difference directional derivative of e along a field
                 total = 0.0
                 for name, comp in zip(names, field_components):
-                    speed = ex.evaluate(comp, at)
+                    speed = tree_walker.evaluate(comp, at)
                     if speed == 0.0:
                         continue
                     up = dict(at)
                     down = dict(at)
                     up[name] += h
                     down[name] -= h
-                    total += speed * (ex.evaluate(e, up) - ex.evaluate(e, down)) / (2 * h)
+                    total += speed * (tree_walker.evaluate(e, up) - tree_walker.evaluate(e, down)) / (2 * h)
                 return total
 
             frame = horizontal_frame(conn)
@@ -182,7 +184,7 @@ class TestCurvature:
                         numeric = directional(
                             conn.gamma[j][nu], frame[mu].components, point
                         ) - directional(conn.gamma[j][mu], frame[nu].components, point)
-                        symbolic = ex.evaluate(R.coefficient(j, mu, nu), point)
+                        symbolic = tree_walker.evaluate(R.coefficient(j, mu, nu), point)
                         assert abs(numeric - symbolic) <= 1e-5 * (1.0 + abs(symbolic))
 
 
@@ -270,3 +272,19 @@ class TestIntegralSection:
         conn = _connection(1, 1, [["y1"]])
         [[value]] = integral_section(conn, [0.0], [1.0], [[-1.0]], steps=1000)
         assert value == pytest.approx(math.exp(-1.0), rel=1e-8)
+
+    def test_sweeps_built_for_moved_axes_only(self, monkeypatch):
+        built = []
+
+        def counting(connection, axis):
+            built.append(axis)
+            return sweep(connection, axis)
+
+        sweep = cn._sweep
+        monkeypatch.setattr(cn, "_sweep", counting)
+        conn = _connection(3, 1, [["y1", "y1", "y1"]])
+        targets = [[0.0, 0.5, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 0.0]]
+        values = integral_section(conn, [0.0, 0.0, 0.0], [1.0], targets, steps=100)
+        assert built == [1]  # once, for the only axis a target moves along
+        assert values[0][0] == pytest.approx(math.exp(0.5), rel=1e-8)
+        assert values[2] == [1.0]

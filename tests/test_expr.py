@@ -61,6 +61,11 @@ class TestParse:
     def test_numeric_exponent_expression(self):
         # exponents may be numeric expressions, folded at parse time
         assert ex.parse("x^(1+1)") == ex.Pow(ex.Var("x"), 2.0)
+        assert ex.parse("x^(-(1/3))") == ex.Pow(ex.Var("x"), -(1.0 / 3.0))
+        with pytest.raises(DomainError, match="zero raised to a negative power"):
+            ex.parse("x^(1/0)")
+        with pytest.raises(DomainError, match="log of non-positive value"):
+            ex.parse("x^log(-1)")
 
     def test_error_offsets(self):
         with pytest.raises(ParseError) as info:
@@ -305,10 +310,6 @@ class TestIsZero:
         # domain is empty: log of a strictly negative quantity
         with pytest.raises(UnprobeableError):
             ex.is_zero(ex.parse("log(-1 - x^2)"))
-
-    def test_all_zero(self):
-        assert ex.all_zero([ex.parse("x - x"), ex.ZERO])
-        assert not ex.all_zero([ex.ZERO, ex.parse("x")])
 
 
 class TestProbeValues:

@@ -1,9 +1,10 @@
-"""The compiled numeric kernel against the tree walker it replaces.
+"""The compiled evaluator against the tree walker it replaced.
 
-``compile_exprs`` must return exactly what ``expr.evaluate`` returns, or raise
-the same error, at every point.  Transport, holonomy and integral sections
-must equal, bit for bit, the RK4 loops over ``expr.evaluate`` that they
-replaced; those loops are kept below as the reference.
+``compile_exprs`` must return exactly what the walker (``tree_walker``)
+returns, or raise the same error, at every point, and the probing scale of
+``expr._evaluate_scaled`` must equal the walker's.  Transport, holonomy and
+integral sections must equal, bit for bit, the RK4 loops over the walker that
+they replaced; those loops are kept below as the reference.
 """
 
 import dataclasses
@@ -16,12 +17,16 @@ from ehresmann import expr as ex
 from ehresmann.bundle import BundleChart
 from ehresmann.connection import EhresmannConnection, integral_section
 from ehresmann.errors import DomainError, EvaluationError, OutsideChartError
-from ehresmann.kernel import compile_exprs
+from ehresmann.expr import compile_exprs
 from ehresmann.linear import ManifoldConnection
 from ehresmann.model import load
-from ehresmann.transport import Curve, holonomy, parallel_transport
+from ehresmann.multivector import representative, same_class
+from ehresmann.transport import Curve, holonomy, horizontal_lift_vector, parallel_transport
+
+import tree_walker
 
 from conftest import (
+    LINE,
     PLANE,
     SPHERE,
     TAU,
@@ -37,6 +42,14 @@ def _outcome(fn):
         return [repr(v) for v in fn()]
     except DomainError as err:
         return (DomainError, str(err))
+
+
+def _probed(fn):
+    """(value, scale) as reprs, or None where probing rejects the point."""
+    try:
+        return [repr(v) for v in fn()]
+    except DomainError:
+        return None
 
 
 def _tree(source):
@@ -63,9 +76,14 @@ def _tree(source):
 
 def _agree(e, names, points):
     compiled = compile_exprs([e], names)
+    scaled = ex._evaluate_scaled(e, names)
     for point in points:
-        tree = _outcome(lambda: [ex.evaluate(e, dict(zip(names, point)))])
+        bindings = dict(zip(names, point))
+        tree = _outcome(lambda: [tree_walker.evaluate(e, bindings)])
         assert _outcome(lambda: compiled(*point)) == tree, (ex.to_text(e), point)
+        assert _probed(lambda: scaled(bindings)) == _probed(
+            lambda: tree_walker.probe_value(e, bindings)
+        ), (ex.to_text(e), point)
 
 
 # --------------------------------------------------------------------------
@@ -99,26 +117,49 @@ class TestCompileExprs:
     def test_fractional_overflow_is_domain_error(self):
         e = ex.parse("x^1.5")
         with pytest.raises(DomainError, match="power overflow"):
-            ex.evaluate(e, {"x": 1e300})
+            tree_walker.evaluate(e, {"x": 1e300})
         with pytest.raises(DomainError, match="power overflow"):
             compile_exprs([e], ["x"])(1e300)
+        with pytest.raises(DomainError, match="power overflow"):
+            ex.evaluate(e, {"x": 1e300})
 
     def test_shared_subtrees_and_several_outputs(self):
         exprs = [ex.parse(s) for s in ("cos(th) / sin(th)", "-sin(th) * cos(th)", "th", "2")]
         values = compile_exprs(exprs, ["th"])(0.7)
-        assert values == [ex.evaluate(e, {"th": 0.7}) for e in exprs]
+        assert values == [tree_walker.evaluate(e, {"th": 0.7}) for e in exprs]
 
     def test_long_sum(self):
         e = ex.Sum(tuple(ex.Prod((ex.Const(k / 7.0), ex.Var("x"))) for k in range(3000)))
-        assert compile_exprs([e], ["x"])(0.3) == [ex.evaluate(e, {"x": 0.3})]
+        assert compile_exprs([e], ["x"])(0.3) == [tree_walker.evaluate(e, {"x": 0.3})]
+        assert ex._evaluate_scaled(e, ["x"])({"x": 0.3}) == tree_walker.probe_value(e, {"x": 0.3})
 
     def test_unbound_variable_at_compile_time(self):
         with pytest.raises(EvaluationError):
             compile_exprs([ex.parse("x + y")], ["x"])
 
+    def test_evaluate_takes_any_number_type(self):
+        e = ex.parse("x^2 + y")
+        assert repr(ex.evaluate(e, {"y": 1, "x": 3})) == repr(tree_walker.evaluate(e, {"y": 1, "x": 3}))
+
+    def test_non_float_constants(self):
+        # a constant holding another number type is emitted as a float
+        # literal, not as that type's repr
+        numpy = pytest.importorskip("numpy")
+        e = ex.Sum((ex.Prod((ex.Const(numpy.float64(0.1)), ex.Var("x"))), ex.Const(numpy.int64(2))))
+        assert compile_exprs([e], ["x"])(0.5) == [tree_walker.evaluate(e, {"x": 0.5})]
+        assert ex.is_zero(ex.Sum((e, ex.Neg(e))))
+
+    def test_non_float_constants_in_transport(self):
+        numpy = pytest.importorskip("numpy")
+        c = ex.Const(numpy.float64(0.1))
+        mc = ManifoldConnection(("x1",), (((c,),),))
+        curve = Curve(("x1",), (ex.Var("t"),))
+        result = parallel_transport(mc, curve, [1.0], 20)
+        assert result.vectors == reference_transport(mc, curve, [1.0], 20)[1]
+
 
 # --------------------------------------------------------------------------
-# reference RK4 loops over expr.evaluate
+# reference RK4 loops over the tree walker
 
 
 def reference_transport(mc, curve, u0, steps):
@@ -126,12 +167,12 @@ def reference_transport(mc, curve, u0, steps):
     velocity = [ex.differentiate(c, "t") for c in curve.components]
 
     def rhs(t, X):
-        point = [ex.evaluate(c, {"t": t}) for c in curve.components]
+        point = [tree_walker.evaluate(c, {"t": t}) for c in curve.components]
         for name, value in zip(names, point):
             low, high = mc.box.get(name, (-1e18, 1e18))
             if not (low <= value <= high):
                 raise OutsideChartError(f"curve leaves the chart box at t={t}")
-        sigma_dot = [ex.evaluate(c, {"t": t}) for c in velocity]
+        sigma_dot = [tree_walker.evaluate(c, {"t": t}) for c in velocity]
         bindings = dict(zip(names, point))
         out = []
         for rho in range(m):
@@ -139,7 +180,9 @@ def reference_transport(mc, curve, u0, steps):
             for nu in range(m):
                 for mu in range(m):
                     total += (
-                        ex.evaluate(mc.gamma[rho][nu][mu], bindings) * X[mu] * sigma_dot[nu]
+                        tree_walker.evaluate(mc.gamma[rho][nu][mu], bindings)
+                        * X[mu]
+                        * sigma_dot[nu]
                     )
             out.append(-total)
         return out
@@ -177,9 +220,12 @@ def reference_section(connection, x0, y0, targets, steps):
                 bindings = dict(zip(chart.base_names, x))
                 bindings[chart.base_names[axis]] = s
                 bindings.update(zip(chart.fiber_names, f))
-                if not chart.contains(bindings):
-                    raise OutsideChartError(f"integration left the chart box at {bindings}")
-                return [ex.evaluate(connection.gamma[i][axis], bindings) for i in range(n)]
+                for name, value in bindings.items():
+                    low, high = chart.bounds(name)
+                    if not (low <= value <= high):
+                        raise OutsideChartError(f"integration left the chart box at {bindings}")
+                gamma = connection.gamma
+                return [tree_walker.evaluate(gamma[i][axis], bindings) for i in range(n)]
 
             s = x[axis]
             for _ in range(count):
@@ -316,6 +362,71 @@ class TestAgainstReference:
         _same_bits(got, expected)
         ascending = integral_section(conn, x0, y0, targets, 40, check_integrable=False)
         assert ascending != got  # curved: the order matters
+
+
+def reference_lift(mc, p, u, v):
+    bindings = dict(zip(mc.coordinate_names, p))
+    vertical = []
+    for rho in range(mc.m):
+        total = 0.0
+        for nu in range(mc.m):
+            for mu in range(mc.m):
+                total += tree_walker.evaluate(mc.gamma[rho][nu][mu], bindings) * u[mu] * v[nu]
+        vertical.append(-total)
+    return list(v) + vertical
+
+
+class TestHorizontalLift:
+    @pytest.mark.parametrize("dim, seed", [(2, 611), (3, 612)])
+    def test_random_connection(self, dim, seed):
+        rng = random.Random(seed)
+        mc = random_symmetric_manifold_connection(rng, dim)
+        for _ in range(5):
+            p, u, v = ([rng.uniform(-1, 1) for _ in range(dim)] for _ in range(3))
+            _same_bits(horizontal_lift_vector(mc, p, u, v), reference_lift(mc, p, u, v))
+
+    def test_sphere_with_zero_entries(self):
+        mc = sphere_connection()
+        for p, u, v in [([1.0, 0.2], [1.0, 0.0], [0.0, 1.0]), ([0.5, 0.0], [-0.0, 2.0], [0.3, -0.0])]:
+            _same_bits(horizontal_lift_vector(mc, p, u, v), reference_lift(mc, p, u, v))
+
+
+class TestCompileCounts:
+    """Each numeric entry point compiles once per call; loading a model
+    compiles nothing."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        count = []
+        define = ex._define
+
+        def counting(*args):
+            count.append(1)
+            return define(*args)
+
+        monkeypatch.setattr(ex, "_define", counting)
+        return count
+
+    def test_model_load_compiles_nothing(self, compiles):
+        for path in (PLANE, SPHERE, LINE):
+            load(path)
+        assert ex.parse("x^(-0.5) * y^(1/3) * z^(2^-1)") == ex.parse("x^-0.5 * y^0.3333333333333333 * z^0.5")
+        assert compiles == []
+
+    def test_one_compile_per_verdict(self, compiles):
+        assert ex.is_zero(ex.parse("sin(x)^2 + cos(x)^2 - 1 + x * y - y * x^1.0001"),
+                          ex.ProbeConfig(points=5)) is False
+        assert len(compiles) == 1
+        assert ex.is_zero(ex.parse("sin(x) * cos(y) - cos(y) * sin(x) * (1 + 0 * z)"))
+        assert len(compiles) == 1  # structural: nothing to compile
+        assert ex.is_zero(ex.parse("log(x^2 + 1) - 2 * log((x^2 + 1)^0.5)"))
+        assert len(compiles) == 2
+
+    def test_one_compile_per_class_comparison(self, compiles):
+        connections = load(PLANE).connections
+        flat, curved = (representative(connections[k]) for k in ("flat", "curved"))
+        assert same_class(flat, flat) and not same_class(flat, curved)
+        assert len(compiles) == 2
 
 
 class TestHolonomyColumns:

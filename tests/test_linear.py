@@ -194,10 +194,6 @@ class TestManifoldConnection:
                 for mu in range(3):
                     assert symbols.gamma[i][j][mu] == mc.gamma[i][mu][j]
 
-    def test_evaluate(self):
-        mc = ManifoldConnection(("x1",), (((ex.parse("2 * x1"),),),))
-        assert mc.evaluate([3.0]) == [[[6.0]]]
-
     def test_unknown_coordinate_rejected(self):
         with pytest.raises(ChartError):
             ManifoldConnection(("x1",), (((ex.parse("q"),),),))
