@@ -173,10 +173,7 @@ def prolong_jet_section(psi: JetSection):
     (f^i, g^i_nu, df^i/dx^nu, dg^i_mu/dx^nu) ordered as the second-jet
     chart (i outer, indices inner, row-major)."""
     chart = psi.chart
-    df = tuple(
-        tuple(ex.differentiate(comp, x) for x in chart.base_names)
-        for comp in psi.components
-    )
+    df = prolong_section(psi.base_section()).jet_components
     dg = tuple(
         tuple(
             tuple(ex.differentiate(psi.jet_components[i][mu], x) for x in chart.base_names)

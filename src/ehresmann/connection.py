@@ -52,8 +52,9 @@ class EhresmannConnection:
 
 
 @dataclass(frozen=True)
-class VectorField:
-    """X = f^mu d/dx^mu + g^i d/dy^i with Expr components over (x, y)."""
+class _FieldComponents:
+    """Base components (length m) and fiber components (length n), Expr over
+    (x, y); ``noun`` names the object in error messages."""
 
     chart: BundleChart
     base_components: tuple  # length m
@@ -62,9 +63,9 @@ class VectorField:
     def __post_init__(self):
         chart = self.chart
         if len(self.base_components) != chart.m or len(self.fiber_components) != chart.n:
-            raise ChartError("vector field needs m base and n fiber components")
+            raise ChartError(f"{self.noun} needs m base and n fiber components")
         for comp in self.base_components + self.fiber_components:
-            chart.check_expression(comp, chart.coordinate_names, "vector field component")
+            chart.check_expression(comp, chart.coordinate_names, f"{self.noun} component")
 
     @property
     def components(self):
@@ -72,11 +73,18 @@ class VectorField:
 
     def __add__(self, other):
         _same_chart(self, other)
-        return VectorField(
+        return type(self)(
             self.chart,
             tuple(a + b for a, b in zip(self.base_components, other.base_components)),
             tuple(a + b for a, b in zip(self.fiber_components, other.fiber_components)),
         )
+
+
+@dataclass(frozen=True)
+class VectorField(_FieldComponents):
+    """X = f^mu d/dx^mu + g^i d/dy^i with Expr components over (x, y)."""
+
+    noun = "vector field"
 
     def scale(self, factor):
         factor = factor if isinstance(factor, ex.Expr) else ex.Const(float(factor))
@@ -88,35 +96,32 @@ class VectorField:
 
 
 @dataclass(frozen=True)
-class OneForm:
+class OneForm(_FieldComponents):
     """alpha = F_mu dx^mu + G_i dy^i with Expr components over (x, y)."""
 
-    chart: BundleChart
-    base_components: tuple  # length m
-    fiber_components: tuple  # length n
+    noun = "one-form"
 
-    def __post_init__(self):
-        chart = self.chart
-        if len(self.base_components) != chart.m or len(self.fiber_components) != chart.n:
-            raise ChartError("one-form needs m base and n fiber components")
-        for comp in self.base_components + self.fiber_components:
-            chart.check_expression(comp, chart.coordinate_names, "one-form component")
 
-    @property
-    def components(self):
-        return self.base_components + self.fiber_components
+class _Antisymmetric:
+    """Coefficients antisymmetric in their last two indices, stored in
+    ``components`` as (k, a, b) -> Expr for a < b (zero-based)."""
 
-    def __add__(self, other):
-        _same_chart(self, other)
-        return OneForm(
-            self.chart,
-            tuple(a + b for a, b in zip(self.base_components, other.base_components)),
-            tuple(a + b for a, b in zip(self.fiber_components, other.fiber_components)),
-        )
+    def coefficient(self, k, a, b):
+        """The coefficient for any index order (antisymmetric by construction)."""
+        if a == b:
+            return ex.ZERO
+        if a < b:
+            return self.components[(k, a, b)]
+        return ex.Neg(self.components[(k, b, a)])
+
+    def entries(self):
+        """Stored (k, a, b, expr) tuples with a < b."""
+        for (k, a, b), value in sorted(self.components.items()):
+            yield k, a, b, value
 
 
 @dataclass(frozen=True)
-class CurvatureTensor:
+class CurvatureTensor(_Antisymmetric):
     """Antisymmetric coefficients R^j_{mu nu}, stored for mu < nu.
 
     The stored coefficient is the bracketed factor of the local curvature
@@ -126,19 +131,6 @@ class CurvatureTensor:
 
     chart: BundleChart
     components: dict  # (j, mu, nu) with mu < nu -> Expr (zero-based)
-
-    def coefficient(self, j, mu, nu):
-        """R^j_{mu nu} for any index order (antisymmetric by construction)."""
-        if mu == nu:
-            return ex.ZERO
-        if mu < nu:
-            return self.components[(j, mu, nu)]
-        return ex.Neg(self.components[(j, nu, mu)])
-
-    def entries(self):
-        """Stored (j, mu, nu, expr) tuples with mu < nu."""
-        for (j, mu, nu), value in sorted(self.components.items()):
-            yield j, mu, nu, value
 
 
 def _same_chart(a, b):

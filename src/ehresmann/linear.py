@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 
 from . import expr as ex
 from .bundle import BundleChart, Section, check_box, check_table, default_names
-from .connection import EhresmannConnection, VectorField
+from .connection import (
+    EhresmannConnection,
+    VectorField,
+    _Antisymmetric,
+    integral_section_residual,
+)
 from .errors import ChartError, NotLinearError
 
 __all__ = [
@@ -68,6 +73,9 @@ class ManifoldConnection:
     def m(self):
         return len(self.coordinate_names)
 
+    def bounds(self, name):
+        return self.box.get(name, (-1e18, 1e18))
+
     def tangent_chart(self) -> BundleChart:
         """Chart of the tangent bundle: base x^mu, fiber velocities v^mu."""
         velocities = default_names("v", self.m)
@@ -93,23 +101,12 @@ class ManifoldConnection:
 
 
 @dataclass(frozen=True)
-class TorsionTensor:
+class TorsionTensor(_Antisymmetric):
     """Components T^mu_{rho eta} = Gamma^mu_{eta rho} - Gamma^mu_{rho eta},
     antisymmetric in the lower pair; stored for rho < eta."""
 
     coordinate_names: tuple
     components: dict  # (mu, rho, eta) with rho < eta -> Expr
-
-    def coefficient(self, mu, rho, eta):
-        if rho == eta:
-            return ex.ZERO
-        if rho < eta:
-            return self.components[(mu, rho, eta)]
-        return ex.Neg(self.components[(mu, eta, rho)])
-
-    def entries(self):
-        for (mu, rho, eta), value in sorted(self.components.items()):
-            yield mu, rho, eta, value
 
 
 def liouville_field(chart: BundleChart) -> VectorField:
@@ -231,25 +228,15 @@ def covariant_differential(symbols: Christoffel, phi: Section):
 
 def general_covariant_derivative(connection: EhresmannConnection, Z, phi: Section):
     """Vertical-projection covariant derivative for a possibly nonlinear
-    connection: components g^mu (d phi^i/dx^mu - Gamma^i_mu(x, phi(x)))."""
+    connection: components g^mu (d phi^i/dx^mu - Gamma^i_mu(x, phi(x))), the
+    integral-section residual contracted with the base field."""
     chart = connection.chart
     if phi.chart != chart:
         raise ChartError("section lives on a different chart")
     _check_base_field(chart, Z)
-    pullback = dict(zip(chart.fiber_names, phi.components))
+    residual = integral_section_residual(connection, phi)
     return tuple(
-        ex.normalize(
-            ex.Sum(
-                tuple(
-                    Z[mu]
-                    * (
-                        ex.differentiate(phi.components[i], x)
-                        - ex.substitute(connection.gamma[i][mu], pullback)
-                    )
-                    for mu, x in enumerate(chart.base_names)
-                )
-            )
-        )
+        ex.normalize(ex.Sum(tuple(Z[mu] * residual[i][mu] for mu in range(chart.m))))
         for i in range(chart.n)
     )
 

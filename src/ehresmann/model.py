@@ -89,11 +89,17 @@ def _box(value, what, names):
         if not (isinstance(bounds, list) and len(bounds) == 2):
             raise ModelError(f"{what}: box entry {name!r} must be [low, high]")
         out[name] = tuple(_number(bound, f"{what}.box.{name}") for bound in bounds)
-    try:
-        check_box(out, names)
-    except ChartError as err:
-        raise ModelError(f"{what}: {err}") from err
+    _build(what, check_box, out, names)
     return out
+
+
+def _build(where, make, *args):
+    """``make(*args)``, with a :class:`ChartError` reported as a
+    :class:`ModelError` at ``where``."""
+    try:
+        return make(*args)
+    except ChartError as err:
+        raise ModelError(f"{where}: {err}") from err
 
 
 def _number(value, where, kind=float):
@@ -140,10 +146,7 @@ def load(path) -> ModelFile:
         base = _names(bundle_block.get("base", bundle_block.get("m")), "x", "bundle.base")
         fiber = _names(bundle_block.get("fiber", bundle_block.get("n")), "y", "bundle.fiber")
         box = _box(bundle_block.get("box"), "bundle", base + fiber)
-        try:
-            model.chart = BundleChart(base, fiber, box)
-        except ChartError as err:
-            raise ModelError(f"bundle: {err}") from err
+        model.chart = _build("bundle", BundleChart, base, fiber, box)
 
     manifold_block = raw.get("manifold")
     if manifold_block is not None:
@@ -159,103 +162,71 @@ def load(path) -> ModelFile:
             raise ModelError(f"{where}: requires a bundle block")
         return model.chart
 
+    def need_manifold(where):
+        if model.manifold_names is None:
+            raise ModelError(f"{where}: requires a manifold block")
+        return model.manifold_names
+
     for name, block in (raw.get("connections") or {}).items():
-        chart = need_chart(f"connections.{name}")
-        rows = _require_list(block, "gamma", f"connections.{name}")
-        table = _parse_table(rows, (chart.n, chart.m), f"connections.{name}.gamma")
-        try:
-            model.connections[name] = EhresmannConnection(chart, table)
-        except ChartError as err:
-            raise ModelError(f"connections.{name}: {err}") from err
+        where = f"connections.{name}"
+        chart = need_chart(where)
+        table = _table(block, "gamma", (chart.n, chart.m), where)
+        model.connections[name] = _build(where, EhresmannConnection, chart, table)
 
     for name, block in (raw.get("jetfields") or {}).items():
-        chart = need_chart(f"jetfields.{name}")
-        F = _parse_table(
-            _require_list(block, "F", f"jetfields.{name}"),
-            (chart.n, chart.m),
-            f"jetfields.{name}.F",
-        )
-        G = _parse_table(
-            _require_list(block, "G", f"jetfields.{name}"),
-            (chart.n, chart.m, chart.m),
-            f"jetfields.{name}.G",
-        )
-        try:
-            model.jetfields[name] = JetField2(JetChart(chart), F, G)
-        except ChartError as err:
-            raise ModelError(f"jetfields.{name}: {err}") from err
+        where = f"jetfields.{name}"
+        chart = need_chart(where)
+        F = _table(block, "F", (chart.n, chart.m), where)
+        G = _table(block, "G", (chart.n, chart.m, chart.m), where)
+        model.jetfields[name] = _build(where, JetField2, JetChart(chart), F, G)
 
     for name, block in (raw.get("christoffels") or {}).items():
-        chart = need_chart(f"christoffels.{name}")
-        table = _parse_table(
-            _require_list(block, "gamma", f"christoffels.{name}"),
-            (chart.n, chart.n, chart.m),
-            f"christoffels.{name}.gamma",
-        )
-        try:
-            model.christoffels[name] = Christoffel(chart, table)
-        except ChartError as err:
-            raise ModelError(f"christoffels.{name}: {err}") from err
+        where = f"christoffels.{name}"
+        chart = need_chart(where)
+        table = _table(block, "gamma", (chart.n, chart.n, chart.m), where)
+        model.christoffels[name] = _build(where, Christoffel, chart, table)
 
     for name, block in (raw.get("manifold_connections") or {}).items():
-        if model.manifold_names is None:
-            raise ModelError(f"manifold_connections.{name}: requires a manifold block")
-        m = len(model.manifold_names)
-        table = _parse_table(
-            _require_list(block, "gamma", f"manifold_connections.{name}"),
-            (m, m, m),
-            f"manifold_connections.{name}.gamma",
+        where = f"manifold_connections.{name}"
+        m = len(need_manifold(where))
+        table = _table(block, "gamma", (m, m, m), where)
+        model.manifold_connections[name] = _build(
+            where, ManifoldConnection, model.manifold_names, table, dict(model.manifold_box)
         )
-        try:
-            model.manifold_connections[name] = ManifoldConnection(
-                model.manifold_names, table, dict(model.manifold_box)
-            )
-        except ChartError as err:
-            raise ModelError(f"manifold_connections.{name}: {err}") from err
 
     for name, block in (raw.get("sections") or {}).items():
-        chart = need_chart(f"sections.{name}")
-        components = _parse_table(
-            _require_list(block, "components", f"sections.{name}"),
-            (chart.n,),
-            f"sections.{name}.components",
-        )
-        try:
-            model.sections[name] = Section(chart, components)
-        except ChartError as err:
-            raise ModelError(f"sections.{name}: {err}") from err
+        where = f"sections.{name}"
+        chart = need_chart(where)
+        components = _table(block, "components", (chart.n,), where)
+        model.sections[name] = _build(where, Section, chart, components)
 
     for name, block in (raw.get("curves") or {}).items():
-        if model.manifold_names is None:
-            raise ModelError(f"curves.{name}: requires a manifold block")
-        components = _parse_table(
-            _require_list(block, "components", f"curves.{name}"),
-            (len(model.manifold_names),),
-            f"curves.{name}.components",
-        )
+        where = f"curves.{name}"
+        names = tuple(need_manifold(where))
+        components = _table(block, "components", (len(names),), where)
         domain = block.get("domain", [0.0, 1.0])
         if not (isinstance(domain, list) and len(domain) == 2):
-            raise ModelError(f"curves.{name}.domain: expected [t0, t1]")
+            raise ModelError(f"{where}.domain: expected [t0, t1]")
         periods = block.get("periods") or {}
         if not isinstance(periods, dict):
-            raise ModelError(f"curves.{name}.periods: expected a mapping")
-        try:
-            model.curves[name] = Curve(
-                tuple(model.manifold_names),
-                components,
-                tuple(_number(t, f"curves.{name}.domain") for t in domain),
-                {str(k): _number(v, f"curves.{name}.periods.{k}") for k, v in periods.items()},
-            )
-        except ChartError as err:
-            raise ModelError(f"curves.{name}: {err}") from err
+            raise ModelError(f"{where}.periods: expected a mapping")
+        model.curves[name] = _build(
+            where,
+            Curve,
+            names,
+            components,
+            tuple(_number(t, f"{where}.domain") for t in domain),
+            {str(k): _number(v, f"{where}.periods.{k}") for k, v in periods.items()},
+        )
 
     return model
 
 
-def _require_list(block, key, where):
+def _table(block, key, shape, where):
+    """The list under ``key`` of a block, parsed as a table of ``shape``."""
     if not isinstance(block, dict) or key not in block:
         raise ModelError(f"{where}: missing {key!r}")
-    value = block[key]
-    if not isinstance(value, list):
+    rows = block[key]
+    if not isinstance(rows, list):
         raise ModelError(f"{where}.{key}: expected a list")
-    return value
+    return _parse_table(rows, shape, f"{where}.{key}")

@@ -16,8 +16,10 @@ from functools import cached_property
 
 from . import expr as ex
 from . import kernel
+from .bundle import Section
+from .connection import VectorField, split_vector_field
 from .errors import ChartError, EhresmannError, OutsideChartError
-from .linear import ManifoldConnection
+from .linear import ManifoldConnection, covariant_derivative
 
 __all__ = [
     "Curve",
@@ -37,8 +39,8 @@ PARAMETER_NAME = "t"
 class Curve:
     """Parametrized curve sigma^mu(t) on a manifold chart, t in [0, T].
 
-    periods maps a coordinate name to its period for angular coordinates;
-    loop closure is then checked modulo the period.
+    periods maps a coordinate name to its period (finite, positive) for
+    angular coordinates; loop closure is then checked modulo the period.
     """
 
     coordinate_names: tuple
@@ -57,6 +59,13 @@ class Curve:
                 )
         if not self.domain[1] > self.domain[0]:
             raise ChartError("curve domain must be a nondegenerate interval")
+        if not all(map(math.isfinite, self.domain)):
+            raise ChartError(f"curve domain must be finite, got {list(self.domain)}")
+        for name, period in self.periods.items():
+            if name not in self.coordinate_names:
+                raise ChartError(f"period for unknown coordinate {name!r}")
+            if not (math.isfinite(period) and period > 0):
+                raise ChartError(f"period for {name!r} must be finite and positive, got {period}")
 
     def point(self, t):
         return ex.compile_exprs(self.components, (PARAMETER_NAME,))(float(t))
@@ -66,8 +75,8 @@ class Curve:
         return tuple(ex.differentiate(comp, PARAMETER_NAME) for comp in self.components)
 
     def is_closed(self, tol=1e-12):
-        start = self.point(self.domain[0])
-        end = self.point(self.domain[1])
+        point = ex.compile_exprs(self.components, (PARAMETER_NAME,))
+        start, end = (point(float(t)) for t in self.domain)
         for name, a, b in zip(self.coordinate_names, start, end):
             gap = abs(a - b)
             period = self.periods.get(name)
@@ -117,7 +126,7 @@ def _transport(mc, curve, y0, steps, record=None):
         for rho in range(m)
     ]
     point = [f"p{i}" for i in range(m)]
-    bounds = [mc.box.get(name, (-1e18, 1e18)) for name in mc.coordinate_names]
+    bounds = [mc.bounds(name) for name in mc.coordinate_names]
     at = [  # the locals p (point), v (velocity) and g (Gamma entries) at time s
         f"{', '.join(point + [f'v{i}' for i in range(m)])} = _along(s)",
         f"if not ({kernel.box_test(point, bounds)}):",
@@ -196,7 +205,7 @@ def horizontal_lift_vector(mc: ManifoldConnection, p, u, v):
     if len(p) != m or len(u) != m or len(v) != m:
         raise ChartError("point and vectors need m components each")
     for name, value in zip(mc.coordinate_names, p):
-        low, high = mc.box.get(name, (-1e18, 1e18))
+        low, high = mc.bounds(name)
         if not (low <= value <= high):
             raise OutsideChartError(f"point outside the chart box: {name}={value}")
     entries, gamma = _gamma(mc)
@@ -208,7 +217,8 @@ def horizontal_lift_vector(mc: ManifoldConnection, p, u, v):
 
 def hv_project_tm(mc: ManifoldConnection, base_components, fiber_components):
     """Horizontal/vertical splitting of W = a^nu d/dx^nu + b^rho d/dv^rho on
-    the tangent bundle; components are expressions over (x, v).
+    the tangent bundle; components are expressions over (x, v).  This is the
+    splitting of the induced connection ``mc.to_ehresmann()``.
 
     Returns ((a, horizontal fiber part), (0, vertical fiber part)) with
     H(W) = a^nu (d/dx^nu - Gamma^rho_{nu mu} v^mu d/dv^rho) and
@@ -220,27 +230,12 @@ def hv_project_tm(mc: ManifoldConnection, base_components, fiber_components):
     chart = mc.tangent_chart()
     for comp in tuple(base_components) + tuple(fiber_components):
         chart.check_expression(comp, chart.coordinate_names, "TM field component")
-    velocities = chart.fiber_names
-    correction = []
-    for rho in range(m):
-        terms = []
-        for nu in range(m):
-            for mu in range(m):
-                terms.append(
-                    base_components[nu] * mc.gamma[rho][nu][mu] * ex.Var(velocities[mu])
-                )
-        correction.append(ex.normalize(ex.Sum(tuple(terms))))
-    horizontal = (
-        tuple(base_components),
-        tuple(ex.normalize(ex.Neg(c)) for c in correction),
+    W = VectorField(chart, tuple(base_components), tuple(fiber_components))
+    horizontal, vertical = split_vector_field(mc.to_ehresmann(), W)
+    return (
+        (horizontal.base_components, horizontal.fiber_components),
+        (vertical.base_components, vertical.fiber_components),
     )
-    vertical = (
-        tuple(ex.ZERO for _ in range(m)),
-        tuple(
-            ex.normalize(fiber_components[rho] + correction[rho]) for rho in range(m)
-        ),
-    )
-    return horizontal, vertical
 
 
 def complete_lift(mc: ManifoldConnection, Y):
@@ -260,30 +255,16 @@ def complete_lift(mc: ManifoldConnection, Y):
     return tuple(Y), tuple(fiber)
 
 
-def covariant_derivative_direct(mc: ManifoldConnection, X, Y):
-    """Components of nabla_X Y: (dY^rho/dx^nu + Gamma^rho_{nu mu} Y^mu) X^nu."""
-    m = mc.m
-    out = []
-    for rho in range(m):
-        terms = []
-        for nu in range(m):
-            inner = [ex.differentiate(Y[rho], mc.coordinate_names[nu])]
-            for mu in range(m):
-                inner.append(mc.gamma[rho][nu][mu] * Y[mu])
-            terms.append(X[nu] * ex.Sum(tuple(inner)))
-        out.append(ex.normalize(ex.Sum(tuple(terms))))
-    return tuple(out)
-
-
 def covariant_via_complete_lift(mc: ManifoldConnection, X, Y, p, tol=1e-9):
     """Covariant derivative nabla_X Y at the base point p, computed as the
     vertical part of the complete lift of Y evaluated at the tangent-bundle
     point (p, X(p)), read back as a fiber vector.
 
-    The result is cross-checked against the direct component formula; a
-    disagreement beyond ``tol`` raises.  The two routes coincide exactly for
-    torsion-free connections (they differ by the torsion contraction), so a
-    symmetric connection is expected here.
+    The result is cross-checked against the direct component formula,
+    :func:`ehresmann.linear.covariant_derivative` of the Christoffel symbols;
+    a disagreement beyond ``tol`` raises.  The two routes coincide exactly
+    for torsion-free connections (they differ by the torsion contraction), so
+    a symmetric connection is expected here.
     """
     m = mc.m
     if len(X) != m or len(Y) != m or len(p) != m:
@@ -294,7 +275,9 @@ def covariant_via_complete_lift(mc: ManifoldConnection, X, Y, p, tol=1e-9):
     x_at_p = ex.compile_exprs(X, names)(*p)
     tangent = mc.tangent_chart().coordinate_names  # (x, v)
     lifted = ex.compile_exprs(vertical_part[1], tangent)(*p, *x_at_p)
-    direct = ex.compile_exprs(covariant_derivative_direct(mc, X, Y), names)(*p)
+    symbols = mc.to_christoffel()
+    section = covariant_derivative(symbols, X, Section(symbols.chart, tuple(Y)))
+    direct = ex.compile_exprs(section.components, names)(*p)
     for a, b in zip(lifted, direct):
         if abs(a - b) > tol * (1.0 + abs(a) + abs(b)):
             raise EhresmannError(

@@ -429,6 +429,11 @@ class TestCompileCounts:
         assert len(compiles) == 2
 
 
+    def test_one_compile_per_closure_check(self, compiles):
+        assert load(SPHERE).curves["lat60"].is_closed()
+        assert len(compiles) == 1
+
+
 class TestHolonomyColumns:
     def test_sphere_columns_are_transports(self, sphere):
         mc, curve = sphere.manifold_connections["levi_civita"], sphere.curves["lat60"]

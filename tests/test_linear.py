@@ -24,8 +24,9 @@ from ehresmann.linear import (
     liouville_field,
     torsion,
 )
+from ehresmann.model import load
 
-from conftest import random_polynomial, random_symmetric_manifold_connection
+from conftest import PLANE, random_polynomial, random_symmetric_manifold_connection
 
 
 def _connection(m, n, rows):
@@ -140,6 +141,23 @@ class TestCovariantDerivative:
         classical = covariant_derivative(symbols, Z, phi)
         for a, b in zip(general, classical.components):
             assert ex.is_zero(a - b)
+
+    def test_general_on_nonlinear_connection(self):
+        # plane.yaml's quadratic connection: Gamma^1_1 = y1^2, Gamma^1_2 = 0,
+        # so nabla_Z phi = Z^1 (d phi/dx1 - phi^2) + Z^2 d phi/dx2
+        conn = load(PLANE).connections["quadratic"]
+        chart = conn.chart
+        base = list(chart.base_names)
+        rng = random.Random(21)
+        for _ in range(5):
+            f = random_polynomial(rng, base, 3, 2)
+            Z = tuple(random_polynomial(rng, base, 2, 1) for _ in range(2))
+            (got,) = general_covariant_derivative(conn, Z, Section(chart, (f,)))
+            want = (
+                Z[0] * (ex.differentiate(f, "x1") - f * f)
+                + Z[1] * (ex.differentiate(f, "x2") - ex.ZERO)
+            )
+            assert ex.is_zero(got - want)
 
 
 class TestLeibniz:

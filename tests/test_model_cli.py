@@ -237,6 +237,7 @@ class TestCliCommands:
         integrable = ["integrable", "--connection", "curved"]
         holonomy = ["holonomy", "--manifold-connection", "levi_civita", "--curve", "lat60"]
         torsion = ["torsion", "--manifold-connection", "levi_civita"]
+        arc_holonomy = ["holonomy", "--manifold-connection", "levi_civita", "--curve", "meridian_arc"]
         bad_models = {
             "points-0": (plane + "probe: {points: 0}\n", integrable),
             "tol-nan": (plane + "probe: {tol: .nan}\n", integrable),
@@ -258,6 +259,16 @@ class TestCliCommands:
             "max-retries-0": (plane + "probe: {max_retries: 0}\n", integrable),
             "domain": (sphere.replace("domain: [0.0, 1.0]", "domain: [a, 1.0]"), holonomy),
             "periods": (sphere.replace("ph: 6.283185307179586", "ph: abc", 1), holonomy),
+            # a period that is not finite and positive, or for no coordinate,
+            # and a non-finite domain
+            "periods-nan": (sphere.replace("ph: 6.283185307179586", "ph: .nan"), holonomy),
+            "periods-inf-open": (
+                sphere.replace("domain: [0.0, 1.0]", "domain: [0.0, 1.0]\n    periods: {th: .inf}"),
+                arc_holonomy,
+            ),
+            "periods-zero": (sphere.replace("ph: 6.283185307179586", "ph: 0"), holonomy),
+            "periods-unknown": (sphere.replace("ph: 6.283185307179586", "phi: 6.283185307179586"), holonomy),
+            "domain-inf": (sphere.replace("domain: [0.0, 1.0]", "domain: [0.0, .inf]"), arc_holonomy),
         }
         for label, (text, args) in bad_models.items():
             path = tmp_path / f"{label}.yaml"

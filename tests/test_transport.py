@@ -13,11 +13,10 @@ import pytest
 
 from ehresmann import expr as ex
 from ehresmann.errors import ChartError, EhresmannError, OutsideChartError
-from ehresmann.linear import ManifoldConnection
+from ehresmann.linear import ManifoldConnection, is_symmetric
 from ehresmann.transport import (
     Curve,
     complete_lift,
-    covariant_derivative_direct,
     covariant_via_complete_lift,
     holonomy,
     horizontal_lift_vector,
@@ -26,6 +25,7 @@ from ehresmann.transport import (
     rotation_angle,
 )
 
+import direct_formulas
 from conftest import (
     TAU,
     latitude_loop,
@@ -71,6 +71,24 @@ class TestCurve:
             Curve(("x1",), (ex.parse("s"),))
         with pytest.raises(ChartError):
             Curve(("x1",), (ex.parse("t"),), (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "domain,periods",
+        [
+            ((0.0, math.inf), {}),
+            ((-math.inf, 1.0), {}),
+            ((0.0, TAU), {"x2": math.nan}),
+            ((0.0, TAU), {"x2": math.inf}),
+            ((0.0, TAU), {"x2": 0.0}),
+            ((0.0, TAU), {"x2": -TAU}),
+            ((0.0, TAU), {"phi": TAU}),
+        ],
+    )
+    def test_refuses_bad_domain_and_periods(self, domain, periods):
+        # a NaN period made is_closed raise ValueError from round(), and an
+        # infinite one made an open curve count as closed
+        with pytest.raises(ChartError):
+            Curve(("x1", "x2"), (ex.parse("1"), ex.parse("t")), domain, periods)
 
 
 class TestParallelTransport:
@@ -212,6 +230,32 @@ class TestLifts:
             assert ex.is_zero(a - b)
         assert all(ex.is_zero(c) for c in vf2)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_splitting_matches_explicit_correction(self, m, twisted):
+        # the splitting of to_ehresmann() against the explicit correction
+        # sum a^nu Gamma^rho_{nu mu} v^mu, with and without torsion
+        rng = random.Random(40 + 2 * m + twisted)
+        mc = random_symmetric_manifold_connection(rng, m)
+        names = list(mc.coordinate_names)
+        if twisted:
+            gamma = [[list(row) for row in plane] for plane in mc.gamma]
+            for rho in range(m):
+                gamma[rho][0][1] = gamma[rho][0][1] + random_polynomial(rng, names, 2, 1)
+            mc = ManifoldConnection(mc.coordinate_names, tuple(
+                tuple(tuple(row) for row in plane) for plane in gamma
+            ))
+        assert is_symmetric(mc) is not twisted
+        tangent = list(mc.tangent_chart().coordinate_names)
+        base = tuple(random_polynomial(rng, tangent, 2, 1) for _ in range(m))
+        fiber = tuple(random_polynomial(rng, tangent, 2, 1) for _ in range(m))
+        got = hv_project_tm(mc, base, fiber)
+        want = direct_formulas.hv_project_tm(mc, base, fiber)
+        assert got[0][0] == base and got[1][0] == tuple(ex.ZERO for _ in range(m))
+        for got_part, want_part in zip(got, want):
+            for a, b in zip(got_part[1], want_part[1]):
+                assert ex.is_zero(a - b)
+
     def test_complete_lift_components(self):
         mc = flat_connection()
         base, fiber = complete_lift(mc, (ex.parse("x2"), ex.parse("-x1")))
@@ -227,7 +271,7 @@ class TestCovariantViaCompleteLift:
         names = list(mc.coordinate_names)
         X = tuple(random_polynomial(rng, names, 2, 2) for _ in range(2))
         Y = tuple(random_polynomial(rng, names, 2, 2) for _ in range(2))
-        direct = covariant_derivative_direct(mc, X, Y)
+        direct = direct_formulas.covariant_derivative_direct(mc, X, Y)
         for _ in range(5):
             p = [rng.uniform(-1.5, 1.5) for _ in range(2)]
             lifted = covariant_via_complete_lift(mc, X, Y, p)
