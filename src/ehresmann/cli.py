@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import json
 import sys
 
@@ -23,11 +24,12 @@ from . import linear as ln
 from . import multivector as mv
 from . import transport as tp
 from .errors import EhresmannError
+from .model import ModelFile
 from .model import load as load_model
 
-# subcommand -> module operations it reaches, filled in by ``command``; the
-# test suite checks this table covers the whole public surface
-DISPATCH = {}
+# the named-entry tables of a model file, e.g. ``connections``; a body
+# parameter named after one in the singular is a required entry (``command``)
+_TABLES = {f.name for f in dataclasses.fields(ModelFile) if f.default_factory is dict}
 
 
 def _fail(message):
@@ -50,28 +52,25 @@ def _summary_lines(report, prefix="", out=None):
     return out
 
 
-def _texts(exprs):
-    return [ex.to_text(ex.normalize(e)) for e in exprs]
+def _texts(table):
+    """Normalized text of an expression, or of each one in a nested table."""
+    if isinstance(table, ex.Expr):
+        return ex.to_text(ex.normalize(table))
+    return [_texts(item) for item in table]
 
 
-def _parse_exprs(text, count=None, what="expression list"):
+def _parse_list(text, count, what, convert=ex.parse):
+    """The comma-separated entries of ``text`` through ``convert``
+    (expressions by default, or ``float``/``int``), ``count`` of them unless
+    it is None."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
+    unit = "entries" if convert is ex.parse else "numbers"
     if count is not None and len(parts) != count:
-        _fail(f"{what}: expected {count} comma-separated entries, got {len(parts)}")
+        raise EhresmannError(f"{what}: expected {count} comma-separated {unit}, got {len(parts)}")
     try:
-        return [ex.parse(p) for p in parts]
-    except EhresmannError as err:
-        _fail(f"{what}: {err}")
-
-
-def _parse_numbers(text, count=None, what="number list", kind=float):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if count is not None and len(parts) != count:
-        _fail(f"{what}: expected {count} comma-separated numbers, got {len(parts)}")
-    try:
-        return [kind(p) for p in parts]
-    except ValueError as err:
-        _fail(f"{what}: {err}")
+        return [convert(p) for p in parts]
+    except (EhresmannError, ValueError) as err:
+        raise EhresmannError(f"{what}: {err}") from err
 
 
 model_option = click.option(
@@ -93,43 +92,52 @@ def main():
     bundles, jet bundles and manifolds."""
 
 
-def command(name, ops, fail_unless=None):
+def command(name, fail_unless=None):
     """Declare subcommand ``name`` from a body ``(model, **options) ->
-    report``.  Adds ``--model``, ``-o/--output`` and ``--seed``, records
-    ``ops`` as ``DISPATCH[name]``, turns an :class:`EhresmannError` into exit
-    2, prints the summary, writes the JSON report, and exits 1 when the
-    report entry ``fail_unless`` is false."""
-    DISPATCH[name] = ops
+    report``.  Adds ``--model``, ``-o/--output`` and ``--seed``.  A body
+    parameter named after a model table (``connection`` for
+    ``ModelFile.connections``, likewise ``manifold_connection``,
+    ``jetfield``, ``section``, ``curve``) becomes a required option; the
+    body gets the entry it names and the report its name.  Turns an
+    :class:`EhresmannError` or a failed write into exit 2, prints the
+    summary, writes the JSON report, and exits 1 when the report entry
+    ``fail_unless`` is false."""
 
     def register(body):
+        entries = [p for p in inspect.signature(body).parameters if p + "s" in _TABLES]
+
         @functools.wraps(body)
         def run(model_path, output, seed, **options):
             try:
                 model = load_model(model_path)
                 if seed is not None:
                     model.probe = dataclasses.replace(model.probe, seed=seed)
-                report = body(model, **options)
-            except EhresmannError as err:
+                names = {entry: options[entry] for entry in entries}
+                for entry in entries:
+                    options[entry] = model.require(entry + "s", options[entry])
+                report = {**body(model, **options), **names, "command": name}
+                try:
+                    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+                except ValueError:
+                    raise EhresmannError("the result holds a non-finite number") from None
+                if output:
+                    with open(output, "w") as handle:
+                        handle.write(text + "\n")
+            except (EhresmannError, OSError) as err:
                 _fail(str(err))
-            report["command"] = name
-            try:
-                text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-            except ValueError:
-                _fail("the result holds a non-finite number")
             for line in _summary_lines(report):
                 click.echo(line)
-            if output:
-                with open(output, "w") as handle:
-                    handle.write(text + "\n")
             if fail_unless is not None and not report[fail_unless]:
                 sys.exit(1)
 
+        for entry in reversed(entries):
+            run = click.option(f"--{entry.replace('_', '-')}", entry, required=True)(run)
         return main.command(name)(model_option(output_option(seed_option(run))))
 
     return register
 
 
-@command("expr", ("expr.parse", "expr.differentiate", "expr.evaluate", "expr.is_zero"))
+@command("expr")
 @click.option("--text", required=True, help="Expression to analyze.")
 @click.option("--diff", "diff_var", default=None, help="Differentiate by this variable.")
 @click.option("--at", "at_point", default=None,
@@ -151,63 +159,38 @@ def expr_command(model, text, diff_var, at_point):
             try:
                 bindings[name.strip()] = float(value)
             except ValueError:
-                _fail(f"--at: expected name=value, got {piece.strip()!r}")
+                raise EhresmannError(f"--at: expected name=value, got {piece.strip()!r}") from None
         report["value"] = ex.evaluate(e, bindings)
     return report
 
 
-@command(
-    "prolong",
-    (
-        "bundle.prolong_section",
-        "bundle.prolong_jet_section",
-        "bundle.holonomic_check",
-        "jetfield.project_j1pi1",
-    ),
-    fail_unless="holonomic",
-)
-@click.option("--section", "section_name", required=True)
+@command("prolong", fail_unless="holonomic")
 @click.option("--second/--first", default=False,
               help="Also build the second prolongation of the first jet.")
-def prolong_command(model, section_name, second):
+def prolong_command(model, section, second):
     """Jet prolongation of a section, with the holonomy identity checked."""
-    phi = model.require("sections", section_name)
-    psi = bd.prolong_section(phi)
+    psi = bd.prolong_section(section)
     report = {
-        "section": section_name,
         "components": _texts(psi.components),
-        "jet_components": [_texts(row) for row in psi.jet_components],
+        "jet_components": _texts(psi.jet_components),
         "holonomic": bd.holonomic_check(psi, model.probe),
     }
     if second:
-        f, g, df, dg = bd.prolong_jet_section(psi)
-        report["second"] = {
-            "f": _texts(f),
-            "g": [_texts(row) for row in g],
-            "df": [_texts(row) for row in df],
-            "dg": [[_texts(row) for row in plane] for plane in dg],
-        }
+        f, g, df, dg = map(_texts, bd.prolong_jet_section(psi))
         chart = psi.chart
-        flat = (
-            list(chart.base_names)
-            + _texts(f)
-            + [t for row in g for t in _texts(row)]
-            + [t for row in df for t in _texts(row)]
-            + [t for plane in dg for row in plane for t in _texts(row)]
-        )
-        report["second"]["projected"] = list(
-            jf.project_j1pi1(flat, chart.m, chart.n)
-        )
+        # the second-jet point in chart order, as project_j1pi1 reads it
+        flat = [*chart.base_names, *f, *sum(g, []), *sum(df, []), *sum(sum(dg, []), [])]
+        report["second"] = {
+            "f": f, "g": g, "df": df, "dg": dg,
+            "projected": list(jf.project_j1pi1(flat, chart.m, chart.n)),
+        }
     return report
 
 
-@command("curvature", ("connection.curvature", "connection.is_integrable"))
-@click.option("--connection", "connection_name", required=True)
-def curvature_command(model, connection_name):
+@command("curvature")
+def curvature_command(model, connection):
     """Curvature components and the induced integrability verdict."""
-    connection = model.require("connections", connection_name)
     return {
-        "connection": connection_name,
         "components": {
             f"R[{j + 1}][{mu + 1}][{nu + 1}]": ex.to_text(value)
             for j, mu, nu, value in cn.curvature(connection).entries()
@@ -216,25 +199,13 @@ def curvature_command(model, connection_name):
     }
 
 
-@command("integrable", ("connection.is_integrable",), fail_unless="integrable")
-@click.option("--connection", "connection_name", required=True)
-def integrable_command(model, connection_name):
+@command("integrable", fail_unless="integrable")
+def integrable_command(model, connection):
     """Zero-curvature check; exits 1 when the connection is curved."""
-    connection = model.require("connections", connection_name)
-    return {
-        "connection": connection_name,
-        "integrable": cn.is_integrable(connection, model.probe),
-    }
+    return {"integrable": cn.is_integrable(connection, model.probe)}
 
 
-@command(
-    "split",
-    (
-        "connection.split_vector_field",
-        "connection.split_one_form",
-        "transport.hv_project_tm",
-    ),
-)
+@command("split")
 @click.option("--connection", "connection_name", default=None)
 @click.option("--manifold-connection", "mc_name", default=None)
 @click.option("--vector", "vector_text", default=None,
@@ -244,35 +215,32 @@ def integrable_command(model, connection_name):
 def split_command(model, connection_name, mc_name, vector_text, form_text):
     """Horizontal/vertical splitting of vector fields and 1-forms."""
     if connection_name is None and mc_name is None:
-        _fail("need --connection or --manifold-connection")
+        raise EhresmannError("need --connection or --manifold-connection")
     report = {}
     if connection_name is not None:
         connection = model.require("connections", connection_name)
         chart = connection.chart
         report["connection"] = connection_name
         if vector_text is None and form_text is None:
-            _fail("need --vector and/or --form with --connection")
-        if vector_text is not None:
-            comps = _parse_exprs(vector_text, chart.m + chart.n, "--vector")
-            X = cn.VectorField(chart, tuple(comps[:chart.m]), tuple(comps[chart.m:]))
-            h, v = cn.split_vector_field(connection, X)
-            report["vector"] = {
-                "horizontal": _texts(h.components),
-                "vertical": _texts(v.components),
-            }
-        if form_text is not None:
-            comps = _parse_exprs(form_text, chart.m + chart.n, "--form")
-            alpha = cn.OneForm(chart, tuple(comps[:chart.m]), tuple(comps[chart.m:]))
-            h, v = cn.split_one_form(connection, alpha)
-            report["form"] = {
-                "horizontal": _texts(h.components),
-                "vertical": _texts(v.components),
-            }
+            raise EhresmannError("need --vector and/or --form with --connection")
+        kinds = (
+            ("vector", vector_text, cn.VectorField, cn.split_vector_field),
+            ("form", form_text, cn.OneForm, cn.split_one_form),
+        )
+        for key, text, kind, split in kinds:
+            if text is not None:
+                comps = _parse_list(text, chart.m + chart.n, f"--{key}")
+                field = kind(chart, tuple(comps[:chart.m]), tuple(comps[chart.m:]))
+                h, v = split(connection, field)
+                report[key] = {
+                    "horizontal": _texts(h.components),
+                    "vertical": _texts(v.components),
+                }
     if mc_name is not None:
         mc = model.require("manifold_connections", mc_name)
         if vector_text is None:
-            _fail("need --vector (2m components) with --manifold-connection")
-        comps = _parse_exprs(vector_text, 2 * mc.m, "--vector")
+            raise EhresmannError("need --vector (2m components) with --manifold-connection")
+        comps = _parse_list(vector_text, 2 * mc.m, "--vector")
         h, v = tp.hv_project_tm(mc, tuple(comps[:mc.m]), tuple(comps[mc.m:]))
         report["manifold_connection"] = mc_name
         report["tangent"] = {
@@ -282,8 +250,7 @@ def split_command(model, connection_name, mc_name, vector_text, form_text):
     return report
 
 
-@command("integral-section", ("connection.integral_section",))
-@click.option("--connection", "connection_name", required=True)
+@command("integral-section")
 @click.option("--start", required=True, help="Base start point, m numbers.")
 @click.option("--fiber", required=True, help="Fiber start values, n numbers.")
 @click.option("--target", "targets", multiple=True, required=True,
@@ -292,19 +259,17 @@ def split_command(model, connection_name, mc_name, vector_text, form_text):
               help="RK4 steps per unit coordinate length.")
 @click.option("--order", default=None,
               help="Sweep order as comma-separated zero-based axes.")
-def integral_section_command(model, connection_name, start, fiber, targets, steps, order):
+def integral_section_command(model, connection, start, fiber, targets, steps, order):
     """Numeric integral section of a flat connection."""
-    connection = model.require("connections", connection_name)
     chart = connection.chart
-    x0 = _parse_numbers(start, chart.m, "--start")
-    y0 = _parse_numbers(fiber, chart.n, "--fiber")
-    points = [_parse_numbers(t, chart.m, "--target") for t in targets]
-    axes = None if order is None else _parse_numbers(order, what="--order", kind=int)
+    x0 = _parse_list(start, chart.m, "--start", float)
+    y0 = _parse_list(fiber, chart.n, "--fiber", float)
+    points = [_parse_list(t, chart.m, "--target", float) for t in targets]
+    axes = None if order is None else _parse_list(order, None, "--order", int)
     values = cn.integral_section(
         connection, x0, y0, points, steps=steps, order=axes, probe=model.probe
     )
     return {
-        "connection": connection_name,
         "start": x0,
         "fiber": y0,
         "samples": [
@@ -314,24 +279,18 @@ def integral_section_command(model, connection_name, start, fiber, targets, step
     }
 
 
-@command(
-    "residual",
-    ("connection.integral_section_residual", "jetfield.second_order_residual"),
-    fail_unless="vanishes",
-)
+@command("residual", fail_unless="vanishes")
 @click.option("--connection", "connection_name", default=None)
 @click.option("--jetfield", "jetfield_name", default=None)
-@click.option("--section", "section_name", required=True)
-def residual_command(model, connection_name, jetfield_name, section_name):
+def residual_command(model, section, connection_name, jetfield_name):
     """First-order (connection) or second-order (jet field) residuals of a
     candidate section; exits 1 when the residuals do not vanish."""
     if (connection_name is None) == (jetfield_name is None):
-        _fail("need exactly one of --connection / --jetfield")
-    phi = model.require("sections", section_name)
-    report = {"section": section_name}
+        raise EhresmannError("need exactly one of --connection / --jetfield")
+    report = {}
     if connection_name is not None:
         connection = model.require("connections", connection_name)
-        table = cn.integral_section_residual(connection, phi)
+        table = cn.integral_section_residual(connection, section)
         report["connection"] = connection_name
         report["residuals"] = {
             f"[{i + 1}][{mu + 1}]": ex.to_text(value)
@@ -341,7 +300,7 @@ def residual_command(model, connection_name, jetfield_name, section_name):
         residuals = [value for row in table for value in row]
     else:
         field = model.require("jetfields", jetfield_name)
-        table = jf.second_order_residual(field, phi, model.probe)
+        table = jf.second_order_residual(field, section, model.probe)
         report["jetfield"] = jetfield_name
         report["residuals"] = {
             f"[{i + 1}][{nu + 1}][{mu + 1}]": ex.to_text(value)
@@ -354,51 +313,30 @@ def residual_command(model, connection_name, jetfield_name, section_name):
     return report
 
 
-@command("shift", ("connection.add_vertical",))
-@click.option("--connection", "connection_name", required=True)
+@command("shift")
 @click.option("--by", "shift_text", required=True,
               help="Semicolon-separated rows of comma-separated entries (n x m).")
-def shift_command(model, connection_name, shift_text):
+def shift_command(model, connection, shift_text):
     """Add a vertical-valued semibasic table to a connection."""
-    connection = model.require("connections", connection_name)
     chart = connection.chart
     rows = [r for r in shift_text.split(";") if r.strip()]
     if len(rows) != chart.n:
-        _fail(f"--by: expected {chart.n} rows")
-    table = tuple(
-        tuple(_parse_exprs(row, chart.m, "--by row")) for row in rows
-    )
-    shifted = cn.add_vertical(connection, table)
-    return {
-        "connection": connection_name,
-        "gamma": [_texts(row) for row in shifted.gamma],
-    }
+        raise EhresmannError(f"--by: expected {chart.n} rows")
+    table = tuple(tuple(_parse_list(row, chart.m, "--by row")) for row in rows)
+    return {"gamma": _texts(cn.add_vertical(connection, table).gamma)}
 
 
-@command(
-    "multivector",
-    (
-        "connection.horizontal_frame",
-        "multivector.representative",
-        "multivector.contract",
-        "multivector.is_transverse",
-        "multivector.same_class",
-    ),
-)
-@click.option("--connection", "connection_name", required=True)
+@command("multivector")
 @click.option("--other", "other_name", default=None,
               help="Second connection for a class comparison.")
-def multivector_command(model, connection_name, other_name):
+def multivector_command(model, connection, other_name):
     """Decomposable representative, volume pairing, transversality, and
     optional class comparison."""
-    connection = model.require("connections", connection_name)
-    frame = cn.horizontal_frame(connection)
     rep = mv.representative(connection)
     pairing = mv.contract(rep, mv.base_volume_form(connection.chart))
     report = {
-        "connection": connection_name,
-        "frame": [_texts(field.components) for field in frame],
-        "volume_pairing": ex.to_text(ex.normalize(pairing)),
+        "frame": [_texts(field.components) for field in cn.horizontal_frame(connection)],
+        "volume_pairing": _texts(pairing),
         "transverse": mv.is_transverse(rep, model.probe),
     }
     if other_name is not None:
@@ -410,28 +348,16 @@ def multivector_command(model, connection_name, other_name):
     return report
 
 
-@command(
-    "sopde-check",
-    (
-        "jetfield.is_sopde",
-        "jetfield.sopde_integrability_residuals",
-        "jetfield.as_connection_on_jet",
-    ),
-    fail_unless="sopde",
-)
-@click.option("--jetfield", "jetfield_name", required=True)
-def sopde_command(model, jetfield_name):
+@command("sopde-check", fail_unless="sopde")
+def sopde_command(model, jetfield):
     """Second-order condition and integrability residuals of a jet field;
     exits 1 when the condition fails."""
-    field = model.require("jetfields", jetfield_name)
-    stacked = jf.as_connection_on_jet(field)
     report = {
-        "jetfield": jetfield_name,
-        "sopde": jf.is_sopde(field, model.probe),
-        "stacked_gamma": [_texts(row) for row in stacked.gamma],
+        "sopde": jf.is_sopde(jetfield, model.probe),
+        "stacked_gamma": _texts(jf.as_connection_on_jet(jetfield).gamma),
     }
     if report["sopde"]:
-        residuals = jf.sopde_integrability_residuals(field, model.probe)
+        residuals = jf.sopde_integrability_residuals(jetfield, model.probe)
         report["residuals"] = {label: ex.to_text(value) for label, value in residuals}
         report["residual_count"] = len(residuals)
         report["integrable"] = all(
@@ -440,33 +366,26 @@ def sopde_command(model, jetfield_name):
     return report
 
 
-@command(
-    "linear-check",
-    ("linear.is_linear", "linear.liouville_field", "linear.leibniz_residual"),
-    fail_unless="linear",
-)
-@click.option("--connection", "connection_name", required=True)
+@command("linear-check", fail_unless="linear")
 @click.option("--function", "f_text", default="x1",
               help="Scaling function for the Leibniz probe.")
 @click.option("--section", "section_name", default=None,
               help="Section for the Leibniz probe (default: constant 1's).")
-def linear_check_command(model, connection_name, f_text, section_name):
+def linear_check_command(model, connection, f_text, section_name):
     """Fiberwise-linearity check plus a Leibniz-rule residual sample; exits
     1 when the connection is not linear."""
-    connection = model.require("connections", connection_name)
     chart = connection.chart
     delta = ln.liouville_field(chart)
     if section_name is not None:
         phi = model.require("sections", section_name)
     else:
         phi = bd.Section(chart, tuple(ex.ONE for _ in range(chart.n)))
-    f = _parse_exprs(f_text, 1, "--function")[0]
+    f = _parse_list(f_text, 1, "--function")[0]
     Z = tuple(
         ex.ONE if mu == 0 else ex.ZERO for mu in range(chart.m)
     )
     residual = ln.leibniz_residual(connection, f, phi, Z)
     return {
-        "connection": connection_name,
         "linear": ln.is_linear(connection, model.probe),
         "liouville": _texts(delta.components),
         "leibniz_residual": _texts(residual),
@@ -474,11 +393,9 @@ def linear_check_command(model, connection_name, f_text, section_name):
     }
 
 
-@command("christoffels", ("linear.christoffels", "linear.linear_to_ehresmann"))
-@click.option("--connection", "connection_name", required=True)
-def christoffels_command(model, connection_name):
+@command("christoffels")
+def christoffels_command(model, connection):
     """Christoffel symbols of a linear connection and the round-trip check."""
-    connection = model.require("connections", connection_name)
     symbols = ln.christoffels(connection, model.probe)
     rebuilt = ln.linear_to_ehresmann(symbols)
     roundtrip = all(
@@ -486,24 +403,10 @@ def christoffels_command(model, connection_name):
         for row_a, row_b in zip(connection.gamma, rebuilt.gamma)
         for a, b in zip(row_a, row_b)
     )
-    return {
-        "connection": connection_name,
-        "symbols": [
-            [_texts(row) for row in plane] for plane in symbols.gamma
-        ],
-        "roundtrip": roundtrip,
-    }
+    return {"symbols": _texts(symbols.gamma), "roundtrip": roundtrip}
 
 
-@command(
-    "covariant",
-    (
-        "linear.covariant_derivative",
-        "linear.covariant_differential",
-        "linear.general_covariant_derivative",
-        "transport.covariant_via_complete_lift",
-    ),
-)
+@command("covariant")
 @click.option("--christoffel", "christoffel_name", default=None)
 @click.option("--connection", "connection_name", default=None,
               help="General (possibly nonlinear) connection instead of symbols.")
@@ -520,29 +423,30 @@ def covariant_command(model, christoffel_name, connection_name, mc_name,
     """Covariant derivative / differential, in any of its three guises."""
     modes = sum(x is not None for x in (christoffel_name, connection_name, mc_name))
     if modes != 1:
-        _fail("need exactly one of --christoffel / --connection / --manifold-connection")
+        raise EhresmannError(
+            "need exactly one of --christoffel / --connection / --manifold-connection"
+        )
     report = {}
     if christoffel_name is not None:
         symbols = model.require("christoffels", christoffel_name)
         chart = symbols.chart
         if section_name is None:
-            _fail("--christoffel mode needs --section")
+            raise EhresmannError("--christoffel mode needs --section")
         phi = model.require("sections", section_name)
-        table = ln.covariant_differential(symbols, phi)
         report["christoffel"] = christoffel_name
         report["section"] = section_name
-        report["differential"] = [_texts(row) for row in table]
+        report["differential"] = _texts(ln.covariant_differential(symbols, phi))
         if field_text is not None:
-            Z = tuple(_parse_exprs(field_text, chart.m, "--field"))
+            Z = tuple(_parse_list(field_text, chart.m, "--field"))
             derivative = ln.covariant_derivative(symbols, Z, phi)
             report["derivative"] = _texts(derivative.components)
     elif connection_name is not None:
         connection = model.require("connections", connection_name)
         chart = connection.chart
         if section_name is None or field_text is None:
-            _fail("--connection mode needs --section and --field")
+            raise EhresmannError("--connection mode needs --section and --field")
         phi = model.require("sections", section_name)
-        Z = tuple(_parse_exprs(field_text, chart.m, "--field"))
+        Z = tuple(_parse_list(field_text, chart.m, "--field"))
         derivative = ln.general_covariant_derivative(connection, Z, phi)
         report["connection"] = connection_name
         report["section"] = section_name
@@ -550,10 +454,12 @@ def covariant_command(model, christoffel_name, connection_name, mc_name,
     else:
         mc = model.require("manifold_connections", mc_name)
         if field_text is None or other_text is None or point_text is None:
-            _fail("--manifold-connection mode needs --field, --other-field and --point")
-        X = tuple(_parse_exprs(field_text, mc.m, "--field"))
-        Y = tuple(_parse_exprs(other_text, mc.m, "--other-field"))
-        p = _parse_numbers(point_text, mc.m, "--point")
+            raise EhresmannError(
+                "--manifold-connection mode needs --field, --other-field and --point"
+            )
+        X = tuple(_parse_list(field_text, mc.m, "--field"))
+        Y = tuple(_parse_list(other_text, mc.m, "--other-field"))
+        p = _parse_list(point_text, mc.m, "--point", float)
         value = tp.covariant_via_complete_lift(mc, X, Y, p)
         report["manifold_connection"] = mc_name
         report["point"] = p
@@ -561,85 +467,57 @@ def covariant_command(model, christoffel_name, connection_name, mc_name,
     return report
 
 
-@command("torsion", ("linear.torsion", "linear.is_symmetric"))
-@click.option("--manifold-connection", "mc_name", required=True)
-def torsion_command(model, mc_name):
+@command("torsion")
+def torsion_command(model, manifold_connection):
     """Torsion components and the symmetry verdict."""
-    mc = model.require("manifold_connections", mc_name)
-    tensor = ln.torsion(mc)
     return {
-        "manifold_connection": mc_name,
         "components": {
             f"T[{mu + 1}][{rho + 1}][{eta + 1}]": ex.to_text(value)
-            for mu, rho, eta, value in tensor.entries()
+            for mu, rho, eta, value in ln.torsion(manifold_connection).entries()
         },
-        "symmetric": ln.is_symmetric(mc, model.probe),
+        "symmetric": ln.is_symmetric(manifold_connection, model.probe),
     }
 
 
-@command("transport", ("transport.parallel_transport",))
-@click.option("--manifold-connection", "mc_name", required=True)
-@click.option("--curve", "curve_name", required=True)
+@command("transport")
 @click.option("--vector", "vector_text", required=True)
 @click.option("--steps", default=10_000, show_default=True)
 @click.option("--csv", "csv_path", default=None, help="Write samples as CSV.")
-def transport_command(model, mc_name, curve_name, vector_text, steps, csv_path):
+def transport_command(model, manifold_connection, curve, vector_text, steps, csv_path):
     """Parallel transport of a vector along a curve."""
-    mc = model.require("manifold_connections", mc_name)
-    curve = model.require("curves", curve_name)
-    u0 = _parse_numbers(vector_text, mc.m, "--vector")
-    result = tp.parallel_transport(mc, curve, u0, steps)
+    u0 = _parse_list(vector_text, manifold_connection.m, "--vector", float)
+    result = tp.parallel_transport(manifold_connection, curve, u0, steps)
     if csv_path:
         result.write_csv(csv_path)
-    return {
-        "manifold_connection": mc_name,
-        "curve": curve_name,
-        "steps": steps,
-        "initial": list(u0),
-        "final": list(result.final),
-    }
+    return {"steps": steps, "initial": list(u0), "final": list(result.final)}
 
 
-@command("holonomy", ("transport.holonomy",))
-@click.option("--manifold-connection", "mc_name", required=True)
-@click.option("--curve", "curve_name", required=True)
+@command("holonomy")
 @click.option("--steps", default=10_000, show_default=True)
-def holonomy_command(model, mc_name, curve_name, steps):
+def holonomy_command(model, manifold_connection, curve, steps):
     """Holonomy matrix of a closed loop (plus the angle when m = 2)."""
-    mc = model.require("manifold_connections", mc_name)
-    curve = model.require("curves", curve_name)
-    matrix = tp.holonomy(mc, curve, steps)
-    report = {
-        "manifold_connection": mc_name,
-        "curve": curve_name,
-        "steps": steps,
-        "matrix": matrix,
-    }
-    if mc.m == 2:
+    matrix = tp.holonomy(manifold_connection, curve, steps)
+    report = {"steps": steps, "matrix": matrix}
+    if manifold_connection.m == 2:
         report["angle"] = tp.rotation_angle(matrix)
     return report
 
 
-@command("lift", ("transport.horizontal_lift_vector", "transport.complete_lift"))
-@click.option("--manifold-connection", "mc_name", required=True)
+@command("lift")
 @click.option("--point", "point_text", required=True, help="Base point, m numbers.")
 @click.option("--fiber", "fiber_text", required=True, help="Fiber vector u, m numbers.")
 @click.option("--vector", "vector_text", required=True, help="Tangent vector v, m numbers.")
 @click.option("--field", "field_text", default=None,
               help="Base field to lift completely (m expressions).")
-def lift_command(model, mc_name, point_text, fiber_text, vector_text, field_text):
+def lift_command(model, manifold_connection, point_text, fiber_text, vector_text, field_text):
     """Horizontal lift of a tangent vector (and optional complete lift)."""
-    mc = model.require("manifold_connections", mc_name)
-    p = _parse_numbers(point_text, mc.m, "--point")
-    u = _parse_numbers(fiber_text, mc.m, "--fiber")
-    v = _parse_numbers(vector_text, mc.m, "--vector")
-    report = {
-        "manifold_connection": mc_name,
-        "point": p,
-        "horizontal_lift": tp.horizontal_lift_vector(mc, p, u, v),
-    }
+    mc = manifold_connection
+    p = _parse_list(point_text, mc.m, "--point", float)
+    u = _parse_list(fiber_text, mc.m, "--fiber", float)
+    v = _parse_list(vector_text, mc.m, "--vector", float)
+    report = {"point": p, "horizontal_lift": tp.horizontal_lift_vector(mc, p, u, v)}
     if field_text is not None:
-        Y = tuple(_parse_exprs(field_text, mc.m, "--field"))
+        Y = tuple(_parse_list(field_text, mc.m, "--field"))
         base, fiber = tp.complete_lift(mc, Y)
         report["complete_lift"] = _texts(base + fiber)
     return report

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as ex
-from .bundle import BundleChart, JetChart, Section, check_table, jet_names
+from .bundle import (
+    BundleChart, JetChart, Section, check_table, prolong_jet_section, prolong_section,
+)
 from .connection import EhresmannConnection
 from .errors import ChartError, NotSOPDEError
 
@@ -50,7 +52,7 @@ def as_connection_on_jet(Y: JetField2) -> EhresmannConnection:
     of G (i outer, nu inner).  Curvature, splitting and integral sections
     are then inherited from the plain connection machinery."""
     bundle = Y.chart.bundle
-    fiber = tuple(bundle.fiber_names) + jet_names(bundle.base_names, bundle.fiber_names)
+    fiber = tuple(bundle.fiber_names) + Y.chart.jet_coordinate_names
     box = dict(bundle.box)
     big_chart = BundleChart(bundle.base_names, fiber, box)
     gamma = [list(row) for row in Y.F]
@@ -79,7 +81,7 @@ def is_sopde(Y: JetField2, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:
     """Second-order condition: F^i_nu coincides with the jet coordinate
     y^i_nu."""
     bundle = Y.chart.bundle
-    jets = jet_names(bundle.base_names, bundle.fiber_names)
+    jets = Y.chart.jet_coordinate_names
     for i in range(bundle.n):
         for nu in range(bundle.m):
             jet_var = ex.Var(jets[i * bundle.m + nu])
@@ -92,7 +94,7 @@ def _total_derivative(Y: JetField2, e, mu):
     """d/dx^mu along the horizontal frame of a second-order jet field:
     d/dx^mu + y^i_mu d/dy^i + G^i_{mu gamma} d/dy^i_gamma."""
     bundle = Y.chart.bundle
-    jets = jet_names(bundle.base_names, bundle.fiber_names)
+    jets = Y.chart.jet_coordinate_names
     terms = [ex.differentiate(e, bundle.base_names[mu])]
     for i in range(bundle.n):
         jet_var = ex.Var(jets[i * bundle.m + mu])
@@ -143,26 +145,13 @@ def second_order_residual(Y: JetField2, phi: Section, probe: ex.ProbeConfig = ex
     bundle = Y.chart.bundle
     if phi.chart.base_names != bundle.base_names or phi.chart.fiber_names != bundle.fiber_names:
         raise ChartError("section lives on a different chart than the jet field")
-    jets = jet_names(bundle.base_names, bundle.fiber_names)
-    pullback = dict(zip(bundle.fiber_names, phi.components))
-    for i in range(bundle.n):
-        for gamma in range(bundle.m):
-            pullback[jets[i * bundle.m + gamma]] = ex.differentiate(
-                phi.components[i], bundle.base_names[gamma]
-            )
-    table = []
-    for i in range(bundle.n):
-        rows = []
-        for nu in range(bundle.m):
-            row = []
-            for mu in range(bundle.m):
-                second = ex.differentiate(
-                    ex.differentiate(phi.components[i], bundle.base_names[nu]),
-                    bundle.base_names[mu],
-                )
-                row.append(
-                    ex.normalize(ex.substitute(Y.G[i][nu][mu], pullback) - second)
-                )
-            rows.append(tuple(row))
-        table.append(tuple(rows))
-    return tuple(table)
+    f, g, _, dg = prolong_jet_section(prolong_section(phi))
+    pullback = dict(zip(bundle.fiber_names, f))
+    pullback.update(zip(Y.chart.jet_coordinate_names, (d for row in g for d in row)))
+    return tuple(
+        tuple(
+            tuple(ex.normalize(ex.substitute(G, pullback) - d2) for G, d2 in zip(G_row, d2_row))
+            for G_row, d2_row in zip(G_plane, dg_plane)
+        )
+        for G_plane, dg_plane in zip(Y.G, dg)
+    )

@@ -70,7 +70,7 @@ def _parse_table(rows, shape, where):
 
 
 def _names(value, prefix, what):
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         if value < 1:
             raise ModelError(f"{what}: dimension must be positive")
         return default_names(prefix, value)
@@ -103,10 +103,17 @@ def _build(where, make, *args):
 
 
 def _number(value, where, kind=float):
+    """``value`` as a ``kind``; a bool is not a number, and an ``int``
+    setting refuses a fraction (``2.0`` is accepted)."""
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError("a bool is not a number")
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise ModelError(f"{where}: expected a number, got {value!r}") from err
+    if kind is int and isinstance(value, float) and number != value:
+        raise ModelError(f"{where}: expected an integer, got {value!r}")
+    return number
 
 
 def load(path) -> ModelFile:

@@ -100,7 +100,9 @@ class TransportResult:
         return self.vectors[-1]
 
     def write_csv(self, path):
-        """Rows (t, X^1, ..., X^m)."""
+        """Rows (t, X^1, ..., X^m); a non-finite sample writes no file."""
+        if not all(math.isfinite(v) for vec in self.vectors for v in vec):
+            raise EhresmannError("the result holds a non-finite number")
         m = len(self.vectors[0])
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)

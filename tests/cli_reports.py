@@ -1,5 +1,7 @@
 """Print the label, exit code, stdout and ``-o`` report of every
-``conftest.CLI_CASES`` invocation, run in-process with click's CliRunner.
+``conftest.CLI_CASES`` invocation, the ``--help`` of the group and of every
+subcommand, and the exit code and stderr of every ``conftest.UNKNOWN_ENTRY``
+invocation, all run in-process with click's CliRunner.
 
 Running it against two versions of the package and diffing the outputs
 shows every change of CLI output between them:
@@ -21,7 +23,7 @@ from click.testing import CliRunner
 
 from ehresmann import cli
 
-from conftest import CLI_CASES
+from conftest import CLI_CASES, UNKNOWN_ENTRY
 
 
 def main():
@@ -36,6 +38,14 @@ def main():
             sys.stdout.write("-- report\n" + report)
             if not report.endswith("\n"):
                 sys.stdout.write("\n")
+    for name in [None, *sorted(cli.main.commands)]:
+        args = ["--help"] if name is None else [name, "--help"]
+        result = runner.invoke(cli.main, args, prog_name="ehresmann")
+        sys.stdout.write(f"== {' '.join(args)}: exit {result.exit_code}\n{result.stdout}")
+    for name, args in UNKNOWN_ENTRY.items():
+        result = runner.invoke(cli.main, [name] + args)
+        sys.stdout.write(f"== {name} unknown entry: exit {result.exit_code}\n")
+        sys.stdout.write("-- stderr\n" + result.stderr)
 
 
 if __name__ == "__main__":

@@ -208,6 +208,31 @@ CLI_CASES = (
     ),
 )
 
+# per subcommand, an invocation naming an unknown model entry (for expr,
+# malformed text); every one must take the shared error path
+UNKNOWN_ENTRY = {
+    "expr": ["--model", PLANE, "--text", "x1 +"],
+    "prolong": ["--model", PLANE, "--section", "nope"],
+    "curvature": ["--model", PLANE, "--connection", "nope"],
+    "integrable": ["--model", PLANE, "--connection", "nope"],
+    "split": ["--model", PLANE, "--connection", "nope", "--vector", "1,0,0"],
+    "integral-section": ["--model", PLANE, "--connection", "nope", "--start", "0,0",
+                         "--fiber", "1", "--target", "1,1"],
+    "residual": ["--model", PLANE, "--connection", "flat", "--section", "nope"],
+    "shift": ["--model", PLANE, "--connection", "nope", "--by", "1,1"],
+    "multivector": ["--model", PLANE, "--connection", "nope"],
+    "sopde-check": ["--model", PLANE, "--jetfield", "nope"],
+    "linear-check": ["--model", PLANE, "--connection", "nope"],
+    "christoffels": ["--model", PLANE, "--connection", "nope"],
+    "covariant": ["--model", PLANE, "--christoffel", "nope", "--section", "affine"],
+    "torsion": ["--model", SPHERE, "--manifold-connection", "nope"],
+    "transport": ["--model", SPHERE, "--manifold-connection", "nope", "--curve", "lat60",
+                  "--vector", "1,0"],
+    "holonomy": ["--model", SPHERE, "--manifold-connection", "nope", "--curve", "lat60"],
+    "lift": ["--model", SPHERE, "--manifold-connection", "nope", "--point", "1,0",
+             "--fiber", "1,0", "--vector", "0,1"],
+}
+
 
 def latitude_loop(theta):
     from ehresmann.transport import Curve

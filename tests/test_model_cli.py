@@ -1,6 +1,7 @@
 """Model-file loading and the command line interface."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from ehresmann import expr as ex
 from ehresmann.errors import ModelError
 from ehresmann.model import load
 
-from conftest import CLI_CASES, LINE, MODELS, PLANE, SPHERE
+from conftest import CLI_CASES, LINE, MODELS, PLANE, SPHERE, UNKNOWN_ENTRY
 
 
 # --------------------------------------------------------------------------
@@ -34,6 +35,9 @@ class TestModelLoading:
         path = tmp_path / "retries.yaml"
         path.write_text(Path(PLANE).read_text().split("probe:")[0] + "probe: {max_retries: 5}\n")
         assert load(str(path)).probe.max_retries == 5
+        # an integral float is read as an integer
+        path.write_text(Path(PLANE).read_text().split("probe:")[0] + "probe: {max_retries: 5.0}\n")
+        assert type(load(str(path)).probe.max_retries) is int
 
     def test_sphere_model(self):
         model = load(SPHERE)
@@ -228,6 +232,17 @@ class TestCliCommands:
              "--start", "0,0", "--fiber", "1", "--target", "inf,1"],
             ["integral-section", "--model", PLANE, "--connection", "flat",
              "--start", "0,0", "--fiber", "inf", "--target", "1,1"],
+            # a report or CSV path that cannot be written, and a non-finite
+            # transport that must leave no CSV file behind
+            ["integrable", "--model", PLANE, "--connection", "flat",
+             "-o", str(tmp_path / "missing" / "r.json")],
+            ["integrable", "--model", PLANE, "--connection", "flat", "-o", str(tmp_path)],
+            ["transport", "--model", SPHERE, "--manifold-connection", "levi_civita",
+             "--curve", "meridian_arc", "--vector", "1,0", "--steps", "10",
+             "--csv", str(tmp_path / "missing" / "x.csv")],
+            ["transport", "--model", SPHERE, "--manifold-connection", "levi_civita",
+             "--curve", "meridian_arc", "--vector", "nan,0", "--steps", "10",
+             "--csv", str(tmp_path / "nan.csv")],
         ]
         # model files with a vacuous or non-finite probe policy, or a
         # number that is not one; each command succeeds or exits 1 on the
@@ -238,6 +253,8 @@ class TestCliCommands:
         holonomy = ["holonomy", "--manifold-connection", "levi_civita", "--curve", "lat60"]
         torsion = ["torsion", "--manifold-connection", "levi_civita"]
         arc_holonomy = ["holonomy", "--manifold-connection", "levi_civita", "--curve", "meridian_arc"]
+        tiny = "bundle: {{base: {base}, fiber: {fiber}}}\nconnections: {{c: {{gamma: [[y1]]}}}}\n"
+        tiny_integrable = ["integrable", "--connection", "c"]
         bad_models = {
             "points-0": (plane + "probe: {points: 0}\n", integrable),
             "tol-nan": (plane + "probe: {tol: .nan}\n", integrable),
@@ -269,6 +286,13 @@ class TestCliCommands:
             "periods-zero": (sphere.replace("ph: 6.283185307179586", "ph: 0"), holonomy),
             "periods-unknown": (sphere.replace("ph: 6.283185307179586", "phi: 6.283185307179586"), holonomy),
             "domain-inf": (sphere.replace("domain: [0.0, 1.0]", "domain: [0.0, .inf]"), arc_holonomy),
+            # a bool or a fraction where an integer is meant, and a bool bound
+            "base-true": (tiny.format(base="true", fiber="1"), tiny_integrable),
+            "fiber-true": (tiny.format(base="1", fiber="true"), tiny_integrable),
+            "points-fraction": (plane + "probe: {points: 2.7}\n", integrable),
+            "seed-fraction": (plane + "probe: {seed: 1.5}\n", integrable),
+            "max-retries-true": (plane + "probe: {max_retries: true}\n", integrable),
+            "bundle-box-true": (plane.replace("x1: [-4.0, 4.0]", "x1: [true, 4.0]"), integrable),
         }
         for label, (text, args) in bad_models.items():
             path = tmp_path / f"{label}.yaml"
@@ -279,6 +303,7 @@ class TestCliCommands:
             assert result.exit_code == 2, (args, result.output)
             assert isinstance(result.exception, SystemExit), args
             assert result.stderr.startswith("error: "), args
+        assert not (tmp_path / "nan.csv").exists()
 
     def test_power_overflow_exit_2(self, runner):
         result = runner.invoke(
@@ -327,35 +352,9 @@ class TestCliCommands:
             )
             assert json.loads(out.read_text())["zero"] is True
 
-    # per subcommand, an invocation naming an unknown model entry (for expr,
-    # malformed text); every one must take the shared error path
-    UNKNOWN_ENTRY = {
-        "expr": ["--text", "x1 +"],
-        "prolong": ["--section", "nope"],
-        "curvature": ["--connection", "nope"],
-        "integrable": ["--connection", "nope"],
-        "split": ["--connection", "nope", "--vector", "1,0,0"],
-        "integral-section": ["--connection", "nope", "--start", "0,0",
-                             "--fiber", "1", "--target", "1,1"],
-        "residual": ["--connection", "flat", "--section", "nope"],
-        "shift": ["--connection", "nope", "--by", "1,1"],
-        "multivector": ["--connection", "nope"],
-        "sopde-check": ["--jetfield", "nope"],
-        "linear-check": ["--connection", "nope"],
-        "christoffels": ["--connection", "nope"],
-        "covariant": ["--christoffel", "nope", "--section", "affine"],
-        "torsion": ["--manifold-connection", "nope"],
-        "transport": ["--manifold-connection", "nope", "--curve", "lat60",
-                      "--vector", "1,0"],
-        "holonomy": ["--manifold-connection", "nope", "--curve", "lat60"],
-        "lift": ["--manifold-connection", "nope", "--point", "1,0",
-                 "--fiber", "1,0", "--vector", "0,1"],
-    }
-
-    @pytest.mark.parametrize("name", list(cli.DISPATCH))
+    @pytest.mark.parametrize("name", list(cli.main.commands))
     def test_shared_error_path(self, runner, name):
-        model = SPHERE if name in ("torsion", "transport", "holonomy", "lift") else PLANE
-        result = runner.invoke(cli.main, [name, "--model", model] + self.UNKNOWN_ENTRY[name])
+        result = runner.invoke(cli.main, [name] + UNKNOWN_ENTRY[name])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
@@ -367,28 +366,9 @@ class TestCliCommands:
 
 
 class TestDispatchCoverage:
-    def test_every_subcommand_listed(self):
-        assert set(cli.DISPATCH) == set(cli.main.commands)
-
-    def test_listed_operations_exist(self):
-        modules = {
-            "expr": ehresmann.expr,
-            "bundle": ehresmann.bundle,
-            "connection": ehresmann.connection,
-            "multivector": ehresmann.multivector,
-            "jetfield": ehresmann.jetfield,
-            "linear": ehresmann.linear,
-            "transport": ehresmann.transport,
-        }
-        for command, operations in cli.DISPATCH.items():
-            for op in operations:
-                module_name, _, func = op.partition(".")
-                assert callable(getattr(modules[module_name], func)), (command, op)
-
-    def test_public_operations_reachable(self):
-        # every public operation of the computational modules is reached by
-        # at least one subcommand
-        reached = {op for ops in cli.DISPATCH.values() for op in ops}
+    def test_public_operations_reachable(self, runner, tmp_path):
+        # every public operation of the computational modules is called by
+        # at least one conftest.CLI_CASES invocation
         surface = {
             "connection": [
                 "horizontal_frame", "split_vector_field", "split_one_form",
@@ -414,6 +394,23 @@ class TestDispatchCoverage:
                 "hv_project_tm", "complete_lift", "covariant_via_complete_lift",
             ],
         }
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            results = [
+                runner.invoke(cli.main, args + ["-o", str(tmp_path / f"{label}.json")])
+                for label, args in CLI_CASES
+            ]
+        finally:
+            sys.setprofile(previous)
+        assert all(result.exit_code in (0, 1) for result in results)
         for module, functions in surface.items():
             for func in functions:
-                assert f"{module}.{func}" in reached, f"{module}.{func} unreachable"
+                code = getattr(getattr(ehresmann, module), func).__code__
+                assert code in called, f"{module}.{func} unreachable"
