@@ -195,26 +195,25 @@ def curvature(connection: EhresmannConnection) -> CurvatureTensor:
     """R^j_{mu nu} = d Gamma^j_nu/dx^mu - d Gamma^j_mu/dx^nu
     + Gamma^i_mu d Gamma^j_nu/dy^i - Gamma^i_nu d Gamma^j_mu/dy^i."""
     chart = connection.chart
+    gamma = connection.gamma
     x, y = chart.base_names, chart.fiber_names
+    # each partial once: d[j, mu, name] = d Gamma^j_mu / d name; no
+    # component needs d Gamma^j_mu / d x^mu, and none exists when m = 1
+    d = {
+        (j, mu, name): ex.differentiate(gamma[j][mu], name)
+        for j in range(chart.n)
+        for mu in range(chart.m)
+        for name in chart.coordinate_names
+        if name != x[mu] and chart.m > 1
+    }
     components = {}
     for j in range(chart.n):
         for mu in range(chart.m):
             for nu in range(mu + 1, chart.m):
-                terms = [
-                    ex.differentiate(connection.gamma[j][nu], x[mu]),
-                    ex.Neg(ex.differentiate(connection.gamma[j][mu], x[nu])),
-                ]
+                terms = [d[j, nu, x[mu]], ex.Neg(d[j, mu, x[nu]])]
                 for i in range(chart.n):
-                    terms.append(
-                        connection.gamma[i][mu]
-                        * ex.differentiate(connection.gamma[j][nu], y[i])
-                    )
-                    terms.append(
-                        ex.Neg(
-                            connection.gamma[i][nu]
-                            * ex.differentiate(connection.gamma[j][mu], y[i])
-                        )
-                    )
+                    terms.append(gamma[i][mu] * d[j, nu, y[i]])
+                    terms.append(ex.Neg(gamma[i][nu] * d[j, mu, y[i]]))
                 components[(j, mu, nu)] = ex.normalize(ex.Sum(tuple(terms)))
     return CurvatureTensor(chart, components)
 

@@ -606,31 +606,39 @@ def _power(base, exponent):
 
 
 def differentiate(e: Expr, name: str) -> Expr:
-    """Exact partial derivative; the result is normalized."""
-    return normalize(_diff(e, name))
+    """Exact partial derivative; the result is normalized.  A tree free of
+    ``name`` gives :data:`ZERO` itself."""
+    d = _diff(e, name)
+    return ZERO if d is None else normalize(d)
 
 
 def _diff(e, name):
+    """The unnormalized derivative, or None for a subtree free of ``name``:
+    the product rule builds no term for a factor whose derivative is None."""
     if isinstance(e, Const):
-        return ZERO
+        return None
     if isinstance(e, Var):
-        return ONE if e.name == name else ZERO
+        return ONE if e.name == name else None
     if isinstance(e, Sum):
-        return Sum(tuple(_diff(t, name) for t in e.terms))
+        return _sum_of([d for d in (_diff(t, name) for t in e.terms) if d is not None])
     if isinstance(e, Prod):
         terms = []
         factors = e.factors
         for k in range(len(factors)):
             dk = _diff(factors[k], name)
-            terms.append(Prod(factors[:k] + (dk,) + factors[k + 1:]))
-        return Sum(tuple(terms))
+            if dk is not None:
+                terms.append(Prod(factors[:k] + (dk,) + factors[k + 1:]))
+        return _sum_of(terms)
     if isinstance(e, Pow):
         db = _diff(e.base, name)
-        return Prod((Const(e.exponent), Pow(e.base, e.exponent - 1.0), db))
+        return None if db is None else Prod((Const(e.exponent), Pow(e.base, e.exponent - 1.0), db))
     if isinstance(e, Neg):
-        return Neg(_diff(e.arg, name))
+        d = _diff(e.arg, name)
+        return None if d is None else Neg(d)
     if isinstance(e, Call):
         inner = _diff(e.arg, name)
+        if inner is None:
+            return None
         if e.func == "sin":
             outer = Call("cos", e.arg)
         elif e.func == "cos":
@@ -643,6 +651,14 @@ def _diff(e, name):
             raise EvaluationError(f"unknown function {e.func!r}")
         return Prod((outer, inner))
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _sum_of(terms):
+    """None for no derivative term, the term itself for one, else their
+    Sum; normalizing a one-term Sum gives the term's normal form."""
+    if len(terms) > 1:
+        return Sum(tuple(terms))
+    return terms[0] if terms else None
 
 
 # --------------------------------------------------------------------------

@@ -90,20 +90,18 @@ def is_sopde(Y: JetField2, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:
     return True
 
 
-def _total_derivative(Y: JetField2, e, mu):
+def _total_derivative(Y: JetField2, d, mu):
     """d/dx^mu along the horizontal frame of a second-order jet field:
-    d/dx^mu + y^i_mu d/dy^i + G^i_{mu gamma} d/dy^i_gamma."""
+    d/dx^mu + y^i_mu d/dy^i + G^i_{mu gamma} d/dy^i_gamma, applied to the
+    expression whose partials ``d`` maps from each coordinate name."""
     bundle = Y.chart.bundle
     jets = Y.chart.jet_coordinate_names
-    terms = [ex.differentiate(e, bundle.base_names[mu])]
+    terms = [d[bundle.base_names[mu]]]
     for i in range(bundle.n):
         jet_var = ex.Var(jets[i * bundle.m + mu])
-        terms.append(jet_var * ex.differentiate(e, bundle.fiber_names[i]))
+        terms.append(jet_var * d[bundle.fiber_names[i]])
         for gamma in range(bundle.m):
-            terms.append(
-                Y.G[i][mu][gamma]
-                * ex.differentiate(e, jets[i * bundle.m + gamma])
-            )
+            terms.append(Y.G[i][mu][gamma] * d[jets[i * bundle.m + gamma]])
     return ex.normalize(ex.Sum(tuple(terms)))
 
 
@@ -125,13 +123,26 @@ def sopde_integrability_residuals(Y: JetField2, probe: ex.ProbeConfig = ex.DEFAU
                         ex.normalize(Y.G[j][nu][mu] - Y.G[j][mu][nu]),
                     )
                 )
+    # each partial once: partials[j, nu, rho][name] = d G^j_{nu rho} / d name;
+    # no total derivative d/dx^nu of G^j_{nu rho} is taken
+    partials = {
+        (j, nu, rho): {
+            name: ex.differentiate(Y.G[j][nu][rho], name)
+            for name in Y.chart.coordinate_names
+            if name != bundle.base_names[nu]
+        }
+        for j in range(n)
+        for nu in range(m)
+        for rho in range(m)
+        if m > 1
+    }
     for j in range(n):
         for rho in range(m):
             for mu in range(m):
                 for nu in range(mu + 1, m):
                     value = ex.normalize(
-                        _total_derivative(Y, Y.G[j][nu][rho], mu)
-                        - _total_derivative(Y, Y.G[j][mu][rho], nu)
+                        _total_derivative(Y, partials[j, nu, rho], mu)
+                        - _total_derivative(Y, partials[j, mu, rho], nu)
                     )
                     residuals.append((f"dG[{j + 1}][{nu + 1}][{rho + 1}]d{mu + 1}", value))
     return residuals

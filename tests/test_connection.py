@@ -12,6 +12,7 @@ import pytest
 
 from ehresmann import connection as cn
 from ehresmann import expr as ex
+from ehresmann import model
 from ehresmann.bundle import BundleChart, Section
 from ehresmann.connection import (
     EhresmannConnection,
@@ -26,10 +27,10 @@ from ehresmann.connection import (
     split_one_form,
     split_vector_field,
 )
-from ehresmann.errors import ChartError, NotIntegrableError, OutsideChartError
+from ehresmann.errors import ChartError, NotIntegrableError, OutsideChartError, UnprobeableError
 
 import tree_walker
-from conftest import random_connection, random_polynomial
+from conftest import PLANE, random_connection, random_polynomial
 
 
 def _connection(m, n, rows):
@@ -143,6 +144,20 @@ class TestCurvature:
         assert ex.is_zero(R.coefficient(0, 0, 1) + R.coefficient(0, 1, 0))
         assert R.coefficient(0, 1, 1) == ex.ZERO
 
+    @pytest.mark.parametrize("row", [
+        ["1e300*1e300*x1", "0"],
+        ["1e300*1e300*y1", "x1"],
+        ["x2*1e300*1e300", "0"],
+        ["x1*1e300*1e300", "x2*1e300*1e300"],
+    ])
+    def test_overflowing_constant_has_no_verdict(self, row):
+        # 1e300*1e300 folds to inf, and a curvature term inf * 0 to nan,
+        # which no probe point evaluates: no verdict, and never True
+        chart = model.load(PLANE).connections["flat"].chart
+        conn = EhresmannConnection(chart, (tuple(ex.parse(s) for s in row),))
+        with pytest.raises(UnprobeableError):
+            is_integrable(conn)
+
     def test_base_only_coefficients(self):
         # Gamma independent of y: R = dGamma_nu/dx_mu - dGamma_mu/dx_nu
         conn = _connection(2, 1, [["x2", "x1"]])
@@ -156,8 +171,8 @@ class TestCurvature:
         measured numerically: [H_mu, H_nu]^j = H_mu(Gamma^j_nu) - H_nu(Gamma^j_mu)."""
         rng = random.Random(23)
         h = 1e-5
-        for _ in range(5):
-            conn = random_connection(rng, 2, 2, degree=2)
+        for m, n in ((2, 2),) * 5 + ((3, 2),) * 2:
+            conn = random_connection(rng, m, n, degree=2)
             chart = conn.chart
             names = chart.coordinate_names
             R = curvature(conn)

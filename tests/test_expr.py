@@ -22,6 +22,7 @@ from ehresmann.errors import (
     UnprobeableError,
 )
 
+import dense_diff
 from conftest import central_difference, random_smooth
 
 
@@ -201,6 +202,14 @@ class TestDifferentiate:
                 )
                 checked += 1
         assert checked > 300  # the oracle must actually have run
+
+    def test_overflowing_constant_differentiates_to_zero(self):
+        # the product rule builds no term for a constant factor, so no
+        # inf * 0 = nan is folded: the derivative is 0 whatever the order
+        for source in ("1e300 * 1e300 * x2", "x2 * 1e300 * 1e300"):
+            e = ex.parse(source)
+            assert ex.differentiate(e, "x1") is ex.ZERO
+            assert ex.differentiate(ex.normalize(e), "x1") is ex.ZERO
 
 
 # --------------------------------------------------------------------------
@@ -409,6 +418,42 @@ def test_product_rule(a, b):
     lhs = ex.differentiate(ex.Prod((a, b)), "x")
     rhs = ex.differentiate(a, "x") * b + a * ex.differentiate(b, "x")
     assert _vanishes(lhs - rhs)
+
+
+def _diff_trees():
+    """Trees over x, y and z with the constants 0.0 and -0.0, fractional
+    exponents, ^0, ^1 and log.  ``st.recursive`` nests at most four levels
+    for 12 leaves, so with constants of at most 4 and exponents of at most 3
+    in magnitude no folded constant exceeds 4^81 and no product of them
+    overflows."""
+    return st.recursive(
+        st.one_of(
+            st.sampled_from([ex.Var("x"), ex.Var("y"), ex.Var("z")]),
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 2.0, -3.0, 4.0]).map(ex.Const),
+        ),
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=1, max_size=3).map(lambda t: ex.Sum(tuple(t))),
+            st.lists(inner, min_size=1, max_size=3).map(lambda f: ex.Prod(tuple(f))),
+            inner.map(ex.Neg),
+            st.tuples(
+                inner, st.sampled_from([0.0, 1.0, 2.0, 3.0, -1.0, 0.5, 1.5, -0.5, 1.0 / 3.0])
+            ).map(lambda p: ex.Pow(*p)),
+            st.tuples(st.sampled_from(["sin", "cos", "log"]), inner).map(lambda p: ex.Call(*p)),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=_diff_trees(), name=st.sampled_from(["x", "y", "z"]))
+@example(e=ex.Prod((ex.Var("y"), ex.Pow(ex.Var("x"), 0.5), ex.Call("log", ex.Var("y")))), name="x")
+@example(e=ex.Prod((ex.Const(-0.0), ex.Pow(ex.Var("x"), 1.0))), name="x")
+def test_sparse_derivative_equals_dense(e, name):
+    """``differentiate`` builds no product-rule term for a factor free of
+    the variable; its result is the dense rule's, normalized."""
+    dense = ex.normalize(dense_diff.diff(ex.substitute(e, {}), name))
+    assert repr(ex.differentiate(e, name)) == repr(dense)
+    assert ex.differentiate(e, "w") is ex.ZERO
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ integrability residuals, and second-order sections via the stacked
 connection."""
 
 import math
+import random
 
 import pytest
 
@@ -18,6 +19,8 @@ from ehresmann.jetfield import (
     second_order_residual,
     sopde_integrability_residuals,
 )
+
+from conftest import random_polynomial
 
 
 def _field(m, n, F_rows, G_planes):
@@ -141,6 +144,38 @@ class TestIntegrabilityResiduals:
         field = sopde(2, 1, [[["y1_1 * x2", "0"], ["0", "0"]]])
         residuals = dict(sopde_integrability_residuals(field))
         assert any(not ex.is_zero(v) for v in residuals.values())
+
+    def test_larger_chart_against_fresh_partials(self):
+        # m = 3, n = 2: every residual equals the formula with each partial
+        # of G taken afresh, so no shared partial is read for the wrong
+        # entry or coordinate
+        rng = random.Random(5)
+        chart = JetChart(BundleChart.standard(3, 2))
+        names = list(chart.coordinate_names)
+        F = tuple(tuple(ex.Var(f"y{i}_{mu}") for mu in (1, 2, 3)) for i in (1, 2))
+        G = tuple(
+            tuple(tuple(random_polynomial(rng, names, 2, 2) for _ in range(3)) for _ in range(3))
+            for _ in range(2)
+        )
+        field = JetField2(chart, F, G)
+
+        def total(e, mu):
+            terms = [ex.differentiate(e, f"x{mu + 1}")]
+            for i in range(2):
+                terms.append(ex.Var(f"y{i + 1}_{mu + 1}") * ex.differentiate(e, f"y{i + 1}"))
+                for g in range(3):
+                    terms.append(G[i][mu][g] * ex.differentiate(e, f"y{i + 1}_{g + 1}"))
+            return ex.normalize(ex.Sum(tuple(terms)))
+
+        residuals = dict(sopde_integrability_residuals(field))
+        assert len(residuals) == 2 * 3 + 2 * 3 * 3
+        for j in range(2):
+            for rho in range(3):
+                for mu in range(3):
+                    for nu in range(mu + 1, 3):
+                        want = ex.normalize(total(G[j][nu][rho], mu) - total(G[j][mu][rho], nu))
+                        got = residuals[f"dG[{j + 1}][{nu + 1}][{rho + 1}]d{mu + 1}"]
+                        assert repr(got) == repr(want)
 
     def test_m1_has_no_residuals(self):
         field = sopde(1, 1, [[["y1"]]])
