@@ -24,6 +24,7 @@ import operator
 import random
 from dataclasses import dataclass
 
+from . import kernel
 from .errors import DomainError, EhresmannError, EvaluationError, ParseError, UnprobeableError
 
 __all__ = [
@@ -429,9 +430,10 @@ def _evaluate_scaled(e, names):
     ``at`` gives (value, scale) with scale = max |v| over the values of all
     nodes, the base of the relative tolerance in probing, and raises
     :class:`DomainError` where either is not finite."""
-    env, args, lines, (result,), sizes = _generate([e], names)
+    env, operands = {}, {name: f"a{k}" for k, name in enumerate(names)}
+    lines, (result,), sizes = _generate([e], operands, "v", env)
     largest = sizes[0] if len(sizes) == 1 else f"max({', '.join(sizes)})"
-    scaled = _define(env, args, lines, f"{result}, {largest}")
+    scaled = _define(env, operands.values(), lines, f"{result}, {largest}")
 
     def at(bindings):
         value, scale = scaled(*bindings.values())
@@ -447,25 +449,22 @@ def compile_exprs(exprs, names):
     values at the point ``dict(zip(names, values))``; the values must be
     floats.  A variable outside ``names`` raises :class:`EvaluationError`
     here, not at call time."""
-    env, args, lines, results, _ = _generate(exprs, names)
-    return _define(env, args, lines, f"[{', '.join(results)}]")
+    env, operands = {}, {name: f"a{k}" for k, name in enumerate(names)}
+    lines, results, _ = _generate(exprs, operands, "v", env)
+    return _define(env, operands.values(), lines, f"[{', '.join(results)}]")
 
 
-def _generate(exprs, names):
-    """Straight-line source for ``exprs`` over the arguments named by
-    ``names``: (globals, arguments, lines, the operand holding each
-    expression's value, the operands whose maximum is the largest |v| over
-    all nodes).  Every distinct operation is one statement, so a subtree that
-    occurs twice is evaluated once."""
-    args = {name: f"a{k}" for k, name in enumerate(names)}
-    env = {
-        "_sin": math.sin,
-        "_cos": math.cos,
-        "_exp": math.exp,
-        "_log": math.log,
-        "_power": _power,
-        "_DomainError": DomainError,
-    }
+def _generate(exprs, operands, prefix, env):
+    """Straight-line source lines for ``exprs``, in which a variable is the
+    operand that ``operands`` maps its name to, each operation's result is a
+    local named ``prefix`` and a number, and the evaluation functions and
+    non-finite constants are globals added to ``env``; several calls may
+    share one ``env`` with distinct prefixes.  Returns (lines, the operand
+    holding each expression's value, the operands whose maximum is the
+    largest |v| over all nodes).  Every distinct operation is one line, so a
+    subtree that occurs twice is evaluated once; a line that can leave the
+    reals carries its message as a :data:`kernel.TAG`."""
+    env.update(_sin=math.sin, _cos=math.cos, _exp=math.exp, _log=math.log, _power=_power)
     lines = []
     atoms = {}  # operation on operands -> variable holding its value
     sizes = {}  # |v| of each variable and operation, as operands of max()
@@ -485,10 +484,10 @@ def _generate(exprs, names):
             constants.append(math.inf)
             return bind(value)  # repr of inf/nan is not source
         if isinstance(e, Var):
-            if e.name not in args:
+            if e.name not in operands:
                 raise EvaluationError(f"unbound variable {e.name!r}")
-            sizes[f"abs({args[e.name]})"] = True
-            return args[e.name]
+            sizes[f"abs({operands[e.name]})"] = True
+            return operands[e.name]
         if isinstance(e, Sum):
             key = ("+",) + tuple(emit(t) for t in e.terms)
         elif isinstance(e, Prod):
@@ -504,7 +503,7 @@ def _generate(exprs, names):
         else:
             raise TypeError(f"not an expression: {e!r}")
         if key not in atoms:
-            atoms[key] = v = f"v{len(atoms)}"
+            atoms[key] = v = f"{prefix}{len(atoms)}"
             lines.extend(_statements(v, key, bind))
             if key[0] != "-":  # a negation has its operand's size
                 sizes[f"abs({v})"] = True
@@ -512,13 +511,11 @@ def _generate(exprs, names):
 
     results = [emit(e) for e in exprs]
     top = max(constants)  # first, so that an infinite one decides the max
-    return env, args.values(), lines, results, [repr(top) if top < math.inf else bind(top), *sizes]
+    return lines, results, [repr(top) if top < math.inf else bind(top), *sizes]
 
 
 def _define(env, args, lines, returned):
-    source = "\n".join([f"def _kernel({', '.join(args)}):", *lines, f"    return {returned}"])
-    exec(compile(source, "<ehresmann.expr>", "exec"), env)
-    return env["_kernel"]
+    return kernel.define(f"_kernel({', '.join(args)})", [*lines, f"return {returned}"], env)
 
 
 _CHAIN = 256  # operands per statement of a long sum or product
@@ -535,47 +532,26 @@ def _statements(v, key, bind):
         total, lines = "0.0" if op == "+" else "1.0", []
         for start in range(0, max(len(operands), 1), _CHAIN):
             chain = (total,) + operands[start:start + _CHAIN]
-            lines.append(f"    {v} = {f' {op} '.join(chain)}")
+            lines.append(f"{v} = {f' {op} '.join(chain)}")
             total = v
         return lines
     if op == "-":
-        return [f"    {v} = -{operands[0]}"]
+        return [f"{v} = -{operands[0]}"]
     a = operands[0]
-    if op == "sin" or op == "cos":
-        return [
-            "    try:",
-            f"        {v} = _{op}({a})",
-            "    except ValueError:",
-            f'        raise _DomainError(f"{op} of non-finite value {{{a}}}")',
-        ]
-    if op == "exp":
-        return [
-            "    try:",
-            f"        {v} = _exp({a})",
-            "    except OverflowError:",
-            f'        raise _DomainError(f"exp overflow at {{{a}}}")',
-        ]
-    if op == "log":
-        return [
-            f"    if {a} <= 0.0:",
-            f'        raise _DomainError(f"log of non-positive value {{{a}}}")',
-            f"    {v} = _log({a})",
-        ]
+    if op in _FUNCTIONS:  # math raises ValueError or OverflowError; log(nan) is nan
+        out = {"exp": "overflow at", "log": "of non-positive value"}.get(op, "of non-finite value")
+        shown = a[1:-1] if a.startswith("(") else f"{{{a}}}"  # a literal, or a field
+        return [f"{v} = _{op}({a}){kernel.TAG}{op} {out} {shown}"]
     exponent = operands[1]
     if not math.isfinite(exponent):
-        return [f"    {v} = _power({a}, {bind(exponent)})"]
+        return [f"{v} = _power({a}, {bind(exponent)})"]
     # the common base is computed inline; zero and negative bases take
     # _power's branches
     if exponent == int(exponent):
         power, fast = repr(int(exponent)), f"{a} != 0.0"
     else:
         power, fast = repr(float(exponent)), f"{a} > 0.0"
-    return [
-        "    try:",
-        f"        {v} = {a} ** {power} if {fast} else _power({a}, {power})",
-        "    except OverflowError:",
-        '        raise _DomainError("power overflow")',
-    ]
+    return [f"{v} = {a} ** {power} if {fast} else _power({a}, {power}){kernel.TAG}power overflow"]
 
 
 def _power(base, exponent):
@@ -821,7 +797,8 @@ def _normalize_product(factors, node=None):
         kept.append(factor)
     if not kept:
         return Const(coefficient)
-    kept.sort(key=_sort_key)
+    if len(kept) > 1:  # sorting one node would still build its whole key
+        kept.sort(key=_sort_key)
     if coefficient != 1.0:
         kept.insert(0, constant if constant.value == coefficient else Const(coefficient))
     if again:
@@ -875,7 +852,8 @@ def _normalize_sum(terms, node=None):
             # a coefficient that collapsed to 1 can expose a nested sum
             again = again or isinstance(term, Sum)
         kept.append(term)
-    kept.sort(key=_sort_key)
+    if len(kept) > 1:
+        kept.sort(key=_sort_key)
     if constant != 0.0:
         kept.append(constant_term if constant_term.value == constant else Const(constant))
     if again:

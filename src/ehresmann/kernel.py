@@ -1,18 +1,54 @@
-"""Generated RK4 loops.
+"""Generated functions and RK4 loops.
 
+:func:`define` compiles every generated function, with its body in one
+``try``: a line that can leave the reals is tagged with its
+:class:`DomainError` message, which the one handler looks up by line number.
 ``compile_rk4`` is the package's only RK4: once per integration it generates
 one function that runs every step in a single frame, with the state, stages
-and per-time values (such as the transport geometry) in local variables.  The
-coefficients it steps come from :func:`expr.compile_exprs`.
+and per-time values (such as the transport geometry) in local variables.
 """
 
 from __future__ import annotations
 
-__all__ = ["box_test", "compile_rk4"]
+from .errors import DomainError
+
+__all__ = ["TAG", "box_test", "compile_rk4", "define"]
+
+TAG = "  #! "  # separates a line from the message of the error it can raise
+
+
+def define(head, lines, env):
+    """Compile ``def head:`` with body ``lines`` into the globals ``env``
+    (one function per ``env``) and return the function.  A line
+    ``statement + TAG + message`` whose statement raises ValueError or
+    OverflowError raises :class:`DomainError` with ``message`` instead, its
+    ``{name}`` fields filled from the function's names at that moment;
+    other errors pass through."""
+    source, messages = [f"def {head}:", "    try:"], {}
+    for line in lines:
+        statement, _, message = line.partition(TAG)
+        if message:
+            messages[len(source) + 1] = message  # the line number it gets
+        source.append("        " + statement)
+    source += [
+        "    except (ValueError, OverflowError) as _err:",
+        "        _fail(_err)",
+        "        raise",
+    ]
+
+    def fail(err):
+        message = messages.get(err.__traceback__.tb_lineno)
+        if message is not None:
+            frame = err.__traceback__.tb_frame
+            raise DomainError(message.format_map({**frame.f_globals, **frame.f_locals}))
+
+    env["_fail"] = fail
+    exec(compile("\n".join(source), "<ehresmann.kernel>", "exec"), env)
+    return env[head.partition("(")[0]]
 
 
 def box_test(names, bounds):
-    """Source of a test that each local in ``names`` lies in its bounds."""
+    """Source of a test that each operand in ``names`` lies in its bounds."""
     return " and ".join(
         f"{float(low)!r} <= {name} <= {float(high)!r}"
         for name, (low, high) in zip(names, bounds)
@@ -22,14 +58,15 @@ def box_test(names, bounds):
 def compile_rk4(size, stage, env, at=(), params=()):
     """One function ``run(t, h, steps, y, *params, record=None)`` that takes
     ``steps`` RK4 steps of size ``h`` from time ``t`` for the ``size`` values
-    of ``y`` and returns the final state as a list, appending ``(t, state
-    tuple)`` to a ``record`` list at the start and after every step.
-    ``stage(ys, ks)`` gives the lines that set the slopes ``ks`` from the
-    states ``ys``, the time ``s`` and the ``params``; the lines ``at`` set
-    locals that depend on ``s`` alone, once per distinct time: t + h/2 for
-    stages 2 and 3, t + h for stage 4 and the next step's stage 1 (``t += h``
-    is the same float as ``t + h``).  Other names resolve in ``env``; the
-    lines must not assign t, h, s, half, sixth, yI, xI or kJ_I."""
+    of ``y`` and returns the final state as a list, extending a ``record``
+    list by the time and the state values at the start and after every
+    step.  ``stage(ys, ks)`` gives the lines that set the slopes ``ks`` from
+    the states ``ys``, the time ``s`` and the ``params``; the lines ``at``
+    set locals that depend on ``s`` alone, once per distinct time: t + h/2
+    for stages 2 and 3, t + h for stage 4 and the next step's stage 1
+    (``t += h`` is the same float as ``t + h``).  Lines may carry a
+    :data:`TAG`.  Other names resolve in ``env``; the lines must not assign
+    t, h, s, half, sixth, yI, xI, kJ_I or names starting with ``_``."""
     y, x = [f"y{i}" for i in range(size)], [f"x{i}" for i in range(size)]
     k1, k2, k3, k4 = ([f"k{j}_{i}" for i in range(size)] for j in range(1, 5))
     state = ", ".join(y) + ","
@@ -46,19 +83,20 @@ def compile_rk4(size, stage, env, at=(), params=()):
           for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)),
         "t += h",
         "if record is not None:",
-        f"    record.append((t, ({state})))",
+        f"    record.extend((t, {state}))",
     ]
-    source = "\n".join([
-        f"def _rk4(t, h, steps, y, {''.join(p + ', ' for p in params)}record=None):",
-        "    half, sixth = h / 2.0, h / 6.0",
-        f"    {state} = y",
-        "    if record is not None:",
-        f"        record.append((t, ({state})))",
-        "    s = t",
-        *("    " + line for line in at),
-        "    for _ in range(steps):",
-        *("        " + line for line in step),
-        f"    return [{state}]",
-    ])
-    exec(compile(source, "<ehresmann.kernel>", "exec"), env)
-    return env["_rk4"]
+    return define(
+        f"_rk4(t, h, steps, y, {''.join(p + ', ' for p in params)}record=None)",
+        [
+            "half, sixth = h / 2.0, h / 6.0",
+            f"{state} = y",
+            "if record is not None:",
+            f"    record.extend((t, {state}))",
+            "s = t",
+            *at,
+            "for _ in range(steps):",
+            *("    " + line for line in step),
+            f"return [{state}]",
+        ],
+        env,
+    )

@@ -89,68 +89,78 @@ class Curve:
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Sampled solution of the transport ODE along a curve."""
+    """Sampled solution of the transport ODE along a curve.  ``record``
+    holds every sample flat, as t, X^1, ..., X^m; ``times`` and ``vectors``
+    are built from it when first read."""
 
-    times: tuple
-    vectors: tuple  # one m-tuple per sample time
+    record: list
+    final: tuple
     step_size: float
 
-    @property
-    def final(self):
-        return self.vectors[-1]
+    @cached_property
+    def times(self):
+        return tuple(self.record[::len(self.final) + 1])
+
+    @cached_property
+    def vectors(self):  # one m-tuple per sample time
+        width = len(self.final) + 1
+        return tuple(zip(*(self.record[k::width] for k in range(1, width))))
 
     def write_csv(self, path):
         """Rows (t, X^1, ..., X^m); a non-finite sample writes no file."""
-        if not all(math.isfinite(v) for vec in self.vectors for v in vec):
+        if not all(map(math.isfinite, self.record)):
             raise EhresmannError("the result holds a non-finite number")
-        m = len(self.vectors[0])
+        width = len(self.final) + 1
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["t"] + [f"X{k + 1}" for k in range(m)])
-            for t, vec in zip(self.times, self.vectors):
-                writer.writerow([repr(t)] + [repr(v) for v in vec])
+            writer.writerow(["t"] + [f"X{k}" for k in range(1, width)])
+            for start in range(0, len(self.record), width):
+                writer.writerow(map(repr, self.record[start:start + width]))
 
 
 def _transport(mc, curve, y0, steps, record=None):
     """RK4 solution of the transport ODE for the vectors stacked in y0, m
     values each, with step (T - t0)/steps; returns (step size, final state).
     The geometry (point, velocity, box check, nonzero Gamma entries) depends
-    on the time alone and is evaluated once per distinct time."""
+    on the time alone: its statements are generated into the loop, where
+    they run once per distinct time."""
     if tuple(curve.coordinate_names) != tuple(mc.coordinate_names):
         raise ChartError("curve and connection use different coordinates")
     if steps < 1:
         raise ChartError("steps must be at least 1")
     m = mc.m
-    along = ex.compile_exprs([*curve.components, *curve.velocity_exprs], (PARAMETER_NAME,))
-    entries, gamma = _gamma(mc)
+
+    def outside(t):
+        return OutsideChartError(f"curve leaves the chart box at t={t}")
+
+    env = {"_outside": outside}
+    along, geometry, _ = ex._generate(
+        [*curve.components, *curve.velocity_exprs], {PARAMETER_NAME: "s"}, "w", env
+    )
+    point, velocity = geometry[:m], geometry[m:]
+    entries, values = _gamma(mc)
+    gamma, g, _ = ex._generate(values, dict(zip(mc.coordinate_names, point)), "g", env)
     rows = [
         [(j, nu, mu) for j, (r, nu, mu) in enumerate(entries) if r == rho]
         for rho in range(m)
     ]
-    point = [f"p{i}" for i in range(m)]
     bounds = [mc.bounds(name) for name in mc.coordinate_names]
-    at = [  # the locals p (point), v (velocity) and g (Gamma entries) at time s
-        f"{', '.join(point + [f'v{i}' for i in range(m)])} = _along(s)",
+    at = [  # the point, the velocity and the Gamma entries at time s
+        *along,
         f"if not ({kernel.box_test(point, bounds)}):",
         "    raise _outside(s)",
+        *gamma,
     ]
-    if entries:  # with none, there is no value to unpack
-        coefficients = "".join(f"g{j}, " for j in range(len(entries)))
-        at.append(f"{coefficients}= _gamma({', '.join(point)})")
 
     def stage(X, k):
         # -(0.0 + g X v + ...) per component, summed in the order of ``entries``
         sums = (
-            "".join(f" + g{j} * {X[base + mu]} * v{nu}" for j, nu, mu in row)
+            "".join(f" + {g[j]} * {X[base + mu]} * {velocity[nu]}" for j, nu, mu in row)
             for base in range(0, len(y0), m)
             for row in rows
         )
         return [f"{out} = -(0.0{terms})" for out, terms in zip(k, sums)]
 
-    def outside(t):
-        return OutsideChartError(f"curve leaves the chart box at t={t}")
-
-    env = {"_along": along, "_gamma": gamma, "_outside": outside}
     run = kernel.compile_rk4(len(y0), stage, env, at)
     t0, t1 = map(float, curve.domain)
     h = (t1 - t0) / steps
@@ -159,9 +169,9 @@ def _transport(mc, curve, y0, steps, record=None):
 
 def _gamma(mc):
     """The indices (rho, nu, mu) of the Gamma entries that are not a literal
-    zero, ascending, and one compiled function of the point giving their
-    values.  The zeros are left out of every contraction Gamma u v: they
-    would only add signed zeros to a finite sum."""
+    zero, ascending, and those entries.  The zeros are left out of every
+    contraction Gamma u v: they would only add signed zeros to a finite
+    sum."""
     m = mc.m
     entries = [
         (rho, nu, mu)
@@ -170,8 +180,7 @@ def _gamma(mc):
         for mu in range(m)
         if mc.gamma[rho][nu][mu] != ex.ZERO
     ]
-    values = [mc.gamma[rho][nu][mu] for rho, nu, mu in entries]
-    return entries, ex.compile_exprs(values, mc.coordinate_names)
+    return entries, [mc.gamma[rho][nu][mu] for rho, nu, mu in entries]
 
 
 def parallel_transport(
@@ -181,10 +190,9 @@ def parallel_transport(
     (T - t0)/steps."""
     if len(u0) != mc.m:
         raise ChartError(f"initial vector needs {mc.m} components")
-    samples = []
-    h, _ = _transport(mc, curve, [float(v) for v in u0], steps, samples)
-    times = tuple(t for t, _ in samples)
-    return TransportResult(times, tuple(tuple(X) for _, X in samples), h)
+    record = []
+    h, final = _transport(mc, curve, [float(v) for v in u0], steps, record)
+    return TransportResult(record, tuple(final), h)
 
 
 def holonomy(mc: ManifoldConnection, curve: Curve, steps=10_000):
@@ -210,7 +218,8 @@ def horizontal_lift_vector(mc: ManifoldConnection, p, u, v):
         low, high = mc.bounds(name)
         if not (low <= value <= high):
             raise OutsideChartError(f"point outside the chart box: {name}={value}")
-    entries, gamma = _gamma(mc)
+    entries, values = _gamma(mc)
+    gamma = ex.compile_exprs(values, mc.coordinate_names)
     totals = [0.0] * m
     for (rho, nu, mu), value in zip(entries, gamma(*map(float, p))):
         totals[rho] += value * u[mu] * v[nu]

@@ -7,6 +7,7 @@ integral sections must equal, bit for bit, the RK4 loops over the walker that
 they replaced; those loops are kept below as the reference.
 """
 
+import builtins
 import dataclasses
 import math
 import random
@@ -14,6 +15,7 @@ import random
 import pytest
 
 from ehresmann import expr as ex
+from ehresmann import kernel
 from ehresmann.bundle import BundleChart
 from ehresmann.connection import EhresmannConnection, integral_section
 from ehresmann.errors import DomainError, EvaluationError, OutsideChartError
@@ -156,6 +158,123 @@ class TestCompileExprs:
         curve = Curve(("x1",), (ex.Var("t"),))
         result = parallel_transport(mc, curve, [1.0], 20)
         assert result.vectors == reference_transport(mc, curve, [1.0], 20)[1]
+
+
+# --------------------------------------------------------------------------
+# one try per generated function
+
+
+class TestOneTry:
+    """Each generated function has one ``try``; its handler gives the
+    DomainError of the line that raised, with the operand value it had."""
+
+    @pytest.mark.parametrize(
+        "e, message",
+        [
+            (ex.Call("exp", ex.Const(1000.0)), "exp overflow at 1000.0"),
+            (ex.Call("sin", ex.Const(math.inf)), "sin of non-finite value inf"),
+            (ex.Call("cos", ex.Const(-math.inf)), "cos of non-finite value -inf"),
+            (ex.Call("log", ex.Const(-0.0)), "log of non-positive value -0.0"),
+            (ex.Call("log", ex.Const(-math.inf)), "log of non-positive value -inf"),
+            (ex.Pow(ex.Const(1e300), 2.0), "power overflow"),
+        ],
+    )
+    def test_constant_operands(self, e, message):
+        # literal and bound constants, as unnormalized trees hold them
+        for fn in (lambda: compile_exprs([e], [])(), lambda: tree_walker.evaluate(e, {})):
+            with pytest.raises(DomainError) as caught:
+                fn()
+            assert str(caught.value) == message
+
+    def test_log_of_nan_is_nan(self):
+        assert math.isnan(compile_exprs([ex.parse("log(x)")], ["x"])(math.nan)[0])
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ((1.0, 1.0), "sin of non-finite value inf"),
+            ((1.0, 0.0), "sin of non-finite value inf"),
+            ((0.0, 1.0), "exp overflow at 1000.0"),  # sin(inf * 0) is sin(nan): nan
+        ],
+    )
+    def test_first_failing_operation_decides(self, point, message):
+        e = _tree("sin(1e400 * x) + exp(1000 * y)")
+        got = _outcome(lambda: compile_exprs([e], ["x", "y"])(*point))
+        assert got == (DomainError, message)
+        assert got == _outcome(lambda: [tree_walker.evaluate(e, dict(zip("xy", point)))])
+
+    def test_untagged_errors_pass_through(self):
+        env = {"_sin": math.sin, "_exp": math.exp}
+        f = kernel.define("f(a)", [f"b = _sin(a){kernel.TAG}sin at {{a}}", "return _exp(a)"], env)
+        with pytest.raises(DomainError, match="^sin at inf$"):
+            f(math.inf)
+        with pytest.raises(OverflowError) as caught:
+            f(1000.0)  # exp overflows on the untagged line
+        assert str(caught.value) == "math range error"
+
+    @pytest.mark.parametrize(
+        "gamma, component",
+        [
+            ("log(x1)", "1 - t"),
+            ("exp(x1)", "800 * t"),
+            ("x1^200", "100 * t"),
+            ("sin(1e400 * x1)", "t"),
+            ("x1", "log(1 - t)"),
+            ("x1", "sin(1e300 * t * 1e300)"),
+        ],
+    )
+    def test_transport_loop(self, gamma, component):
+        mc = ManifoldConnection(("x1",), (((_tree(gamma),),),))
+        curve = Curve(("x1",), (_tree(component),), (0.0, 2.0))
+        text = _domain_error_text(lambda: parallel_transport(mc, curve, [1.0], 10))
+        assert text == _first_domain_error(mc, curve, 10)
+        assert text == _domain_error_text(lambda: reference_transport(mc, curve, [1.0], 10))
+
+    @pytest.mark.parametrize(
+        "gamma, component",
+        [
+            ("log(x1)", "1 + 2 * sin(t)"),
+            ("exp(400 * x1)", "1 + 2 * sin(t)"),
+            ("x1^800", "1 + 2 * sin(t)"),
+            ("sin(1e400 * (x1 - 1))", "1 + 2 * sin(t)"),
+            ("x1", "log(1 + 2 * sin(t))"),
+        ],
+    )
+    def test_holonomy_loop(self, gamma, component):
+        mc = ManifoldConnection(("x1",), (((_tree(gamma),),),))
+        curve = Curve(("x1",), (_tree(component),), (0.0, TAU))
+        text = _domain_error_text(lambda: holonomy(mc, curve, 12))
+        assert text == _first_domain_error(mc, curve, 12)
+        assert text == _domain_error_text(lambda: reference_holonomy(mc, curve, 12))
+
+
+def _domain_error_text(fn):
+    with pytest.raises(DomainError) as caught:
+        fn()
+    return str(caught.value)
+
+
+def _first_domain_error(mc, curve, steps):
+    """The message of ``ex.evaluate`` of the first curve component, velocity
+    or Gamma entry that raises, at the first of the times at which an RK4
+    loop takes the geometry (t0, then t + h/2 and t + h each step)."""
+    t0, t1 = curve.domain
+    h = (t1 - t0) / steps
+    t, times = t0, [t0]
+    for _ in range(steps):
+        times += [t + h / 2.0, t + h]
+        t += h
+    entries = [e for plane in mc.gamma for row in plane for e in row]
+    for s in times:
+        try:
+            point = [ex.evaluate(c, {"t": s}) for c in curve.components]
+            for c in curve.velocity_exprs:
+                ex.evaluate(c, {"t": s})
+            for e in entries:
+                ex.evaluate(e, dict(zip(mc.coordinate_names, point)))
+        except DomainError as err:
+            return str(err)
+    raise AssertionError("no domain error along the curve")
 
 
 # --------------------------------------------------------------------------
@@ -432,6 +551,22 @@ class TestCompileCounts:
     def test_one_compile_per_closure_check(self, compiles):
         assert load(SPHERE).curves["lat60"].is_closed()
         assert len(compiles) == 1
+
+    def test_one_compile_per_transport(self, compiles, monkeypatch, sphere):
+        mc = sphere.manifold_connections["levi_civita"]
+        calls = []
+        compile_ = builtins.compile
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return compile_(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", counting)
+        parallel_transport(mc, sphere.curves["meridian_arc"], [1.0, 1.0], 10)
+        assert len(calls) == 1 and compiles == []  # the geometry is in the loop
+        holonomy(mc, sphere.curves["lat60"], 10)
+        # the closure check's kernel, then the loop
+        assert len(calls) == 3 and len(compiles) == 1
 
 
 class TestHolonomyColumns:
