@@ -28,7 +28,7 @@ from .model import ModelFile
 from .model import load as load_model
 
 # the named-entry tables of a model file, e.g. ``connections``; a body
-# parameter named after one in the singular is a required entry (``command``)
+# parameter named after one in the singular is a model entry (``command``)
 _TABLES = {f.name for f in dataclasses.fields(ModelFile) if f.default_factory is dict}
 
 
@@ -96,15 +96,20 @@ def command(name, fail_unless=None):
     """Declare subcommand ``name`` from a body ``(model, **options) ->
     report``.  Adds ``--model``, ``-o/--output`` and ``--seed``.  A body
     parameter named after a model table (``connection`` for
-    ``ModelFile.connections``, likewise ``manifold_connection``,
-    ``jetfield``, ``section``, ``curve``) becomes a required option; the
-    body gets the entry it names and the report its name.  Turns an
-    :class:`EhresmannError` or a failed write into exit 2, prints the
-    summary, writes the JSON report, and exits 1 when the report entry
-    ``fail_unless`` is false."""
+    ``ModelFile.connections``, likewise ``christoffel``,
+    ``manifold_connection``, ``jetfield``, ``section``, ``curve``) is a model
+    entry: a required option, or an optional one when the parameter
+    defaults to None.  The option is added unless the body declares it (to
+    give it help text).  Each given entry is looked up; the body gets the
+    entry, or None for an optional one not given, and the report its name.
+    Options are listed in the order of the body's parameters.  Turns an
+    :class:`EhresmannError`, a failed write or too deep a recursion into
+    exit 2, prints the summary, writes the JSON report, and exits 1 when the
+    report entry ``fail_unless`` is false."""
 
     def register(body):
-        entries = [p for p in inspect.signature(body).parameters if p + "s" in _TABLES]
+        params = inspect.signature(body).parameters
+        entries = [entry for entry in params if entry + "s" in _TABLES]
 
         @functools.wraps(body)
         def run(model_path, output, seed, **options):
@@ -112,9 +117,9 @@ def command(name, fail_unless=None):
                 model = load_model(model_path)
                 if seed is not None:
                     model.probe = dataclasses.replace(model.probe, seed=seed)
-                names = {entry: options[entry] for entry in entries}
-                for entry in entries:
-                    options[entry] = model.require(entry + "s", options[entry])
+                names = {entry: options[entry] for entry in entries if options[entry] is not None}
+                for entry, given in names.items():
+                    options[entry] = model.require(entry + "s", given)
                 report = {**body(model, **options), **names, "command": name}
                 try:
                     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
@@ -123,15 +128,21 @@ def command(name, fail_unless=None):
                 if output:
                     with open(output, "w") as handle:
                         handle.write(text + "\n")
-            except (EhresmannError, OSError) as err:
+            except (EhresmannError, OSError, RecursionError) as err:
                 _fail(str(err))
             for line in _summary_lines(report):
                 click.echo(line)
             if fail_unless is not None and not report[fail_unless]:
                 sys.exit(1)
 
-        for entry in reversed(entries):
-            run = click.option(f"--{entry.replace('_', '-')}", entry, required=True)(run)
+        declared = {option.name for option in getattr(body, "__click_params__", ())}
+        for entry in entries:
+            if entry not in declared:
+                required = params[entry].default is not None
+                run = click.option(f"--{entry.replace('_', '-')}", entry, required=required)(run)
+        # click shows the last-applied option first
+        order = list(params)
+        run.__click_params__.sort(key=lambda option: order.index(option.name), reverse=True)
         return main.command(name)(model_option(output_option(seed_option(run))))
 
     return register
@@ -206,21 +217,18 @@ def integrable_command(model, connection):
 
 
 @command("split")
-@click.option("--connection", "connection_name", default=None)
-@click.option("--manifold-connection", "mc_name", default=None)
 @click.option("--vector", "vector_text", default=None,
               help="m+n comma-separated components of a vector field.")
 @click.option("--form", "form_text", default=None,
               help="m+n comma-separated components of a 1-form.")
-def split_command(model, connection_name, mc_name, vector_text, form_text):
+def split_command(model, connection=None, manifold_connection=None, vector_text=None,
+                  form_text=None):
     """Horizontal/vertical splitting of vector fields and 1-forms."""
-    if connection_name is None and mc_name is None:
+    if connection is None and manifold_connection is None:
         raise EhresmannError("need --connection or --manifold-connection")
     report = {}
-    if connection_name is not None:
-        connection = model.require("connections", connection_name)
+    if connection is not None:
         chart = connection.chart
-        report["connection"] = connection_name
         if vector_text is None and form_text is None:
             raise EhresmannError("need --vector and/or --form with --connection")
         kinds = (
@@ -236,13 +244,12 @@ def split_command(model, connection_name, mc_name, vector_text, form_text):
                     "horizontal": _texts(h.components),
                     "vertical": _texts(v.components),
                 }
-    if mc_name is not None:
-        mc = model.require("manifold_connections", mc_name)
+    if manifold_connection is not None:
+        m = manifold_connection.m
         if vector_text is None:
             raise EhresmannError("need --vector (2m components) with --manifold-connection")
-        comps = _parse_list(vector_text, 2 * mc.m, "--vector")
-        h, v = tp.hv_project_tm(mc, tuple(comps[:mc.m]), tuple(comps[mc.m:]))
-        report["manifold_connection"] = mc_name
+        comps = _parse_list(vector_text, 2 * m, "--vector")
+        h, v = tp.hv_project_tm(manifold_connection, tuple(comps[:m]), tuple(comps[m:]))
         report["tangent"] = {
             "horizontal": _texts(h[0] + h[1]),
             "vertical": _texts(v[0] + v[1]),
@@ -280,37 +287,30 @@ def integral_section_command(model, connection, start, fiber, targets, steps, or
 
 
 @command("residual", fail_unless="vanishes")
-@click.option("--connection", "connection_name", default=None)
-@click.option("--jetfield", "jetfield_name", default=None)
-def residual_command(model, section, connection_name, jetfield_name):
+def residual_command(model, section, connection=None, jetfield=None):
     """First-order (connection) or second-order (jet field) residuals of a
     candidate section; exits 1 when the residuals do not vanish."""
-    if (connection_name is None) == (jetfield_name is None):
+    if (connection is None) == (jetfield is None):
         raise EhresmannError("need exactly one of --connection / --jetfield")
-    report = {}
-    if connection_name is not None:
-        connection = model.require("connections", connection_name)
+    if connection is not None:
         table = cn.integral_section_residual(connection, section)
-        report["connection"] = connection_name
-        report["residuals"] = {
-            f"[{i + 1}][{mu + 1}]": ex.to_text(value)
+        residuals = {
+            f"[{i + 1}][{mu + 1}]": value
             for i, row in enumerate(table)
             for mu, value in enumerate(row)
         }
-        residuals = [value for row in table for value in row]
     else:
-        field = model.require("jetfields", jetfield_name)
-        table = jf.second_order_residual(field, section, model.probe)
-        report["jetfield"] = jetfield_name
-        report["residuals"] = {
-            f"[{i + 1}][{nu + 1}][{mu + 1}]": ex.to_text(value)
+        table = jf.second_order_residual(jetfield, section, model.probe)
+        residuals = {
+            f"[{i + 1}][{nu + 1}][{mu + 1}]": value
             for i, plane in enumerate(table)
             for nu, row in enumerate(plane)
             for mu, value in enumerate(row)
         }
-        residuals = [value for plane in table for row in plane for value in row]
-    report["vanishes"] = all(ex.is_zero(r, model.probe) for r in residuals)
-    return report
+    return {
+        "residuals": {label: ex.to_text(value) for label, value in residuals.items()},
+        "vanishes": all(ex.is_zero(value, model.probe) for value in residuals.values()),
+    }
 
 
 @command("shift")
@@ -369,22 +369,20 @@ def sopde_command(model, jetfield):
 @command("linear-check", fail_unless="linear")
 @click.option("--function", "f_text", default="x1",
               help="Scaling function for the Leibniz probe.")
-@click.option("--section", "section_name", default=None,
+@click.option("--section", default=None,
               help="Section for the Leibniz probe (default: constant 1's).")
-def linear_check_command(model, connection, f_text, section_name):
+def linear_check_command(model, connection, f_text, section=None):
     """Fiberwise-linearity check plus a Leibniz-rule residual sample; exits
     1 when the connection is not linear."""
     chart = connection.chart
     delta = ln.liouville_field(chart)
-    if section_name is not None:
-        phi = model.require("sections", section_name)
-    else:
-        phi = bd.Section(chart, tuple(ex.ONE for _ in range(chart.n)))
+    if section is None:
+        section = bd.Section(chart, tuple(ex.ONE for _ in range(chart.n)))
     f = _parse_list(f_text, 1, "--function")[0]
     Z = tuple(
         ex.ONE if mu == 0 else ex.ZERO for mu in range(chart.m)
     )
-    residual = ln.leibniz_residual(connection, f, phi, Z)
+    residual = ln.leibniz_residual(connection, f, section, Z)
     return {
         "linear": ln.is_linear(connection, model.probe),
         "liouville": _texts(delta.components),
@@ -407,64 +405,44 @@ def christoffels_command(model, connection):
 
 
 @command("covariant")
-@click.option("--christoffel", "christoffel_name", default=None)
-@click.option("--connection", "connection_name", default=None,
+@click.option("--connection", default=None,
               help="General (possibly nonlinear) connection instead of symbols.")
-@click.option("--manifold-connection", "mc_name", default=None)
-@click.option("--section", "section_name", default=None)
 @click.option("--field", "field_text", default=None,
               help="Base vector field components (m expressions).")
 @click.option("--other-field", "other_text", default=None,
               help="Second base field Y for the manifold covariant derivative.")
 @click.option("--point", "point_text", default=None,
               help="Base point for the complete-lift evaluation.")
-def covariant_command(model, christoffel_name, connection_name, mc_name,
-                      section_name, field_text, other_text, point_text):
+def covariant_command(model, christoffel=None, connection=None, manifold_connection=None,
+                      section=None, field_text=None, other_text=None, point_text=None):
     """Covariant derivative / differential, in any of its three guises."""
-    modes = sum(x is not None for x in (christoffel_name, connection_name, mc_name))
-    if modes != 1:
+    if sum(x is not None for x in (christoffel, connection, manifold_connection)) != 1:
         raise EhresmannError(
             "need exactly one of --christoffel / --connection / --manifold-connection"
         )
-    report = {}
-    if christoffel_name is not None:
-        symbols = model.require("christoffels", christoffel_name)
-        chart = symbols.chart
-        if section_name is None:
+    if christoffel is not None:
+        if section is None:
             raise EhresmannError("--christoffel mode needs --section")
-        phi = model.require("sections", section_name)
-        report["christoffel"] = christoffel_name
-        report["section"] = section_name
-        report["differential"] = _texts(ln.covariant_differential(symbols, phi))
+        report = {"differential": _texts(ln.covariant_differential(christoffel, section))}
         if field_text is not None:
-            Z = tuple(_parse_list(field_text, chart.m, "--field"))
-            derivative = ln.covariant_derivative(symbols, Z, phi)
+            Z = tuple(_parse_list(field_text, christoffel.chart.m, "--field"))
+            derivative = ln.covariant_derivative(christoffel, Z, section)
             report["derivative"] = _texts(derivative.components)
-    elif connection_name is not None:
-        connection = model.require("connections", connection_name)
-        chart = connection.chart
-        if section_name is None or field_text is None:
+        return report
+    if connection is not None:
+        if section is None or field_text is None:
             raise EhresmannError("--connection mode needs --section and --field")
-        phi = model.require("sections", section_name)
-        Z = tuple(_parse_list(field_text, chart.m, "--field"))
-        derivative = ln.general_covariant_derivative(connection, Z, phi)
-        report["connection"] = connection_name
-        report["section"] = section_name
-        report["derivative"] = _texts(derivative)
-    else:
-        mc = model.require("manifold_connections", mc_name)
-        if field_text is None or other_text is None or point_text is None:
-            raise EhresmannError(
-                "--manifold-connection mode needs --field, --other-field and --point"
-            )
-        X = tuple(_parse_list(field_text, mc.m, "--field"))
-        Y = tuple(_parse_list(other_text, mc.m, "--other-field"))
-        p = _parse_list(point_text, mc.m, "--point", float)
-        value = tp.covariant_via_complete_lift(mc, X, Y, p)
-        report["manifold_connection"] = mc_name
-        report["point"] = p
-        report["derivative"] = value
-    return report
+        Z = tuple(_parse_list(field_text, connection.chart.m, "--field"))
+        return {"derivative": _texts(ln.general_covariant_derivative(connection, Z, section))}
+    m = manifold_connection.m
+    if field_text is None or other_text is None or point_text is None:
+        raise EhresmannError(
+            "--manifold-connection mode needs --field, --other-field and --point"
+        )
+    X = tuple(_parse_list(field_text, m, "--field"))
+    Y = tuple(_parse_list(other_text, m, "--other-field"))
+    p = _parse_list(point_text, m, "--point", float)
+    return {"point": p, "derivative": tp.covariant_via_complete_lift(manifold_connection, X, Y, p)}
 
 
 @command("torsion")

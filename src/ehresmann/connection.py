@@ -191,38 +191,40 @@ def split_one_form(connection: EhresmannConnection, alpha: OneForm):
     return horizontal, vertical
 
 
-def curvature(connection: EhresmannConnection) -> CurvatureTensor:
-    """R^j_{mu nu} = d Gamma^j_nu/dx^mu - d Gamma^j_mu/dx^nu
-    + Gamma^i_mu d Gamma^j_nu/dy^i - Gamma^i_nu d Gamma^j_mu/dy^i."""
+def _curvature_components(connection: EhresmannConnection):
+    """((j, mu, nu), R^j_{mu nu}) for mu < nu in ``entries()`` order; the
+    partials of row j are taken when row j is reached."""
     chart = connection.chart
     gamma = connection.gamma
     x, y = chart.base_names, chart.fiber_names
-    # each partial once: d[j, mu, name] = d Gamma^j_mu / d name; no
-    # component needs d Gamma^j_mu / d x^mu, and none exists when m = 1
-    d = {
-        (j, mu, name): ex.differentiate(gamma[j][mu], name)
-        for j in range(chart.n)
-        for mu in range(chart.m)
-        for name in chart.coordinate_names
-        if name != x[mu] and chart.m > 1
-    }
-    components = {}
     for j in range(chart.n):
+        # each partial once: d[mu, name] = d Gamma^j_mu / d name; no
+        # component needs d Gamma^j_mu / d x^mu, and none exists when m = 1
+        d = {
+            (mu, name): ex.differentiate(gamma[j][mu], name)
+            for mu in range(chart.m)
+            for name in chart.coordinate_names
+            if name != x[mu] and chart.m > 1
+        }
         for mu in range(chart.m):
             for nu in range(mu + 1, chart.m):
-                terms = [d[j, nu, x[mu]], ex.Neg(d[j, mu, x[nu]])]
+                terms = [d[nu, x[mu]], ex.Neg(d[mu, x[nu]])]
                 for i in range(chart.n):
-                    terms.append(gamma[i][mu] * d[j, nu, y[i]])
-                    terms.append(ex.Neg(gamma[i][nu] * d[j, mu, y[i]]))
-                components[(j, mu, nu)] = ex.normalize(ex.Sum(tuple(terms)))
-    return CurvatureTensor(chart, components)
+                    terms.append(gamma[i][mu] * d[nu, y[i]])
+                    terms.append(ex.Neg(gamma[i][nu] * d[mu, y[i]]))
+                yield (j, mu, nu), ex.normalize(ex.Sum(tuple(terms)))
+
+
+def curvature(connection: EhresmannConnection) -> CurvatureTensor:
+    """R^j_{mu nu} = d Gamma^j_nu/dx^mu - d Gamma^j_mu/dx^nu
+    + Gamma^i_mu d Gamma^j_nu/dy^i - Gamma^i_nu d Gamma^j_mu/dy^i."""
+    return CurvatureTensor(connection.chart, dict(_curvature_components(connection)))
 
 
 def is_integrable(connection: EhresmannConnection, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:
-    """Zero curvature, decided componentwise by the probabilistic zero test."""
-    return all(
-        ex.is_zero(value, probe) for _, _, _, value in curvature(connection).entries()
-    )
+    """Zero curvature, decided componentwise by the probabilistic zero test;
+    stops at the first component that does not vanish."""
+    return all(ex.is_zero(value, probe) for _, value in _curvature_components(connection))
 
 
 def integral_section_residual(connection: EhresmannConnection, phi: Section):
@@ -337,7 +339,10 @@ def integral_section(
         for axis in axes:
             length = float(target[axis]) - x[axis]
             if length != 0.0:
-                count = max(1, round(abs(length) * steps))
+                span = abs(length) * steps
+                if not math.isfinite(span):
+                    raise ChartError(f"target {list(target)} is too far for {steps} steps per unit")
+                count = max(1, round(span))
                 if axis not in sweeps:
                     sweeps[axis] = _sweep(connection, axis)
                 y = sweeps[axis](x[axis], length / count, count, y, *x)

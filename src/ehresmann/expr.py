@@ -235,26 +235,21 @@ class _Parser:
         return expr
 
     def additive(self):
-        expr = self.multiplicative()
-        while True:
-            token = self.peek()
-            if token[0] == "op" and token[1] in "+-":
-                self.advance()
-                rhs = self.multiplicative()
-                expr = expr + rhs if token[1] == "+" else expr - rhs
-            else:
-                return expr
+        # one n-ary Sum per chain, so a long chain nests no deeper than a term
+        terms = [self.multiplicative()]
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            sign = self.advance()[1]
+            term = self.multiplicative()
+            terms.append(term if sign == "+" else Neg(term))
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def multiplicative(self):
-        expr = self.unary()
-        while True:
-            token = self.peek()
-            if token[0] == "op" and token[1] in "*/":
-                self.advance()
-                rhs = self.unary()
-                expr = expr * rhs if token[1] == "*" else expr / rhs
-            else:
-                return expr
+        factors = [self.unary()]
+        while self.peek()[0] == "op" and self.peek()[1] in "*/":
+            op = self.advance()[1]
+            factor = self.unary()
+            factors.append(factor if op == "*" else Pow(factor, -1.0))
+        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
 
     def unary(self):
         token = self.peek()

@@ -82,12 +82,11 @@ def is_sopde(Y: JetField2, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:
     y^i_nu."""
     bundle = Y.chart.bundle
     jets = Y.chart.jet_coordinate_names
-    for i in range(bundle.n):
-        for nu in range(bundle.m):
-            jet_var = ex.Var(jets[i * bundle.m + nu])
-            if not ex.is_zero(Y.F[i][nu] - jet_var, probe):
-                return False
-    return True
+    return all(
+        ex.is_zero(Y.F[i][nu] - ex.Var(jets[i * bundle.m + nu]), probe)
+        for i in range(bundle.n)
+        for nu in range(bundle.m)
+    )
 
 
 def _total_derivative(Y: JetField2, d, mu):

@@ -132,11 +132,11 @@ def is_linear(connection: EhresmannConnection, probe: ex.ProbeConfig = ex.DEFAUL
     chart = connection.chart
     t = ex.Var(_scale_name(chart))
     scaling = {name: t * ex.Var(name) for name in chart.fiber_names}
-    for row in connection.gamma:
-        for entry in row:
-            if not ex.is_zero(ex.substitute(entry, scaling) - t * entry, probe):
-                return False
-    return True
+    return all(
+        ex.is_zero(ex.substitute(entry, scaling) - t * entry, probe)
+        for row in connection.gamma
+        for entry in row
+    )
 
 
 def christoffels(
@@ -154,11 +154,12 @@ def christoffels(
             row = []
             for mu in range(chart.m):
                 symbol = ex.normalize(ex.Neg(ex.differentiate(connection.gamma[i][mu], y)))
-                for other in chart.fiber_names:
-                    if not ex.is_zero(ex.differentiate(symbol, other), probe):
-                        raise NotLinearError(
-                            f"extracted symbol [{i + 1}][{j + 1}][{mu + 1}] still depends on the fiber"
-                        )
+                if not all(
+                    ex.is_zero(ex.differentiate(symbol, other), probe) for other in chart.fiber_names
+                ):
+                    raise NotLinearError(
+                        f"extracted symbol [{i + 1}][{j + 1}][{mu + 1}] still depends on the fiber"
+                    )
                 row.append(symbol)
             plane.append(tuple(row))
         table.append(tuple(plane))

@@ -166,6 +166,24 @@ class TestCurvature:
         R = curvature(conn)
         assert ex.is_zero(R.coefficient(0, 0, 1) + ex.ONE)
 
+    def test_integrable_stops_at_first_curved_component(self, monkeypatch):
+        # R^1_12 = y1 is the first component and does not vanish: the
+        # verdict probes nothing after it and differentiates no later row
+        conn = _connection(2, 2, [["y1", "x1 * y1"], ["y2", "x1 * y2"]])
+        probed, differentiated = [], []
+        is_zero, differentiate = ex.is_zero, ex.differentiate
+        monkeypatch.setattr(ex, "is_zero", lambda e, *a: probed.append(e) or is_zero(e, *a))
+        monkeypatch.setattr(
+            ex, "differentiate", lambda e, name: differentiated.append(e) or differentiate(e, name)
+        )
+        assert not is_integrable(conn)
+        assert len(probed) == 1
+        assert not set(differentiated) & set(conn.gamma[1])
+        monkeypatch.undo()
+        R = curvature(conn)
+        assert list(R.components) == [(0, 0, 1), (1, 0, 1)]
+        assert ex.is_zero(R.coefficient(1, 0, 1) - ex.parse("y2"))
+
     def test_finite_difference_oracle(self):
         """Curvature as the vertical defect of the frame commutator,
         measured numerically: [H_mu, H_nu]^j = H_mu(Gamma^j_nu) - H_nu(Gamma^j_mu)."""
@@ -282,6 +300,12 @@ class TestIntegralSection:
         conn = _connection(1, 1, [["y1"]])
         with pytest.raises(ChartError, match="steps must be at least 1"):
             integral_section(conn, [0.0], [1.0], [[1.0]], steps=steps)
+
+    def test_far_target_rejected(self):
+        # 1e308 units at 1000 steps per unit is no finite step count
+        conn = _connection(2, 1, [["0", "0"]])
+        with pytest.raises(ChartError, match="too far"):
+            integral_section(conn, [0.0, 0.0], [1.0], [[1e308, 1.0]])
 
     def test_backwards_integration(self):
         conn = _connection(1, 1, [["y1"]])

@@ -59,6 +59,19 @@ class TestParse:
         assert ex.evaluate(ex.parse("--3"), {}) == 3.0
         assert ex.evaluate(ex.parse("+5"), {}) == 5.0
 
+    def test_chains_parse_flat(self):
+        # one n-ary node per +/- chain and per * / chain, so a long chain
+        # nests no deeper than one of its terms
+        a, b, c = ex.Var("a"), ex.Var("b"), ex.Var("c")
+        assert ex.parse("a + b - c") == ex.Sum((a, b, ex.Neg(c)))
+        assert ex.parse("a * b / c") == ex.Prod((a, b, ex.Pow(c, -1.0)))
+        assert ex.parse("a - b * c") == ex.Sum((a, ex.Neg(ex.Prod((b, c)))))
+        assert ex.to_text(ex.parse("a + b - c")) == "a + b - c"
+        long_sum = ex.parse(" + ".join(["x1"] * 5000))
+        assert ex.normalize(long_sum) == ex.normalize(ex.parse("5000 * x1"))
+        long_product = ex.parse(" * ".join(["x1"] * 5000))
+        assert ex.normalize(long_product) == ex.Pow(ex.Var("x1"), 5000.0)
+
     def test_numeric_exponent_expression(self):
         # exponents may be numeric expressions, folded at parse time
         assert ex.parse("x^(1+1)") == ex.Pow(ex.Var("x"), 2.0)

@@ -232,6 +232,11 @@ class TestCliCommands:
              "--start", "0,0", "--fiber", "1", "--target", "inf,1"],
             ["integral-section", "--model", PLANE, "--connection", "flat",
              "--start", "0,0", "--fiber", "inf", "--target", "1,1"],
+            # a target too far for a finite step count, and an expression
+            # nested deeper than the recursion limit
+            ["integral-section", "--model", PLANE, "--connection", "flat",
+             "--start", "0,0", "--fiber", "1", "--target", "1e308,1"],
+            ["expr", "--model", PLANE, "--text", "sin(" * 300 + "x1" + ")" * 300],
             # a report or CSV path that cannot be written, and a non-finite
             # transport that must leave no CSV file behind
             ["integrable", "--model", PLANE, "--connection", "flat",
@@ -351,6 +356,63 @@ class TestCliCommands:
                 tmp_path, f"seed{seed}",
             )
             assert json.loads(out.read_text())["zero"] is True
+
+    def test_long_sum(self, runner, tmp_path):
+        result, out = run_case(
+            runner, ["expr", "--model", PLANE, "--text", " + ".join(["x1"] * 250)], tmp_path, "sum"
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["normalized"] == "250 * x1"
+
+    @pytest.mark.parametrize("kind,args", [
+        ("connection", ["split", "--model", PLANE, "--connection", "nope", "--vector", "1,0,0"]),
+        ("manifold_connection", ["split", "--model", SPHERE, "--manifold-connection", "nope",
+                                 "--vector", "1,0,0,0"]),
+        ("connection", ["residual", "--model", PLANE, "--section", "exp_sum",
+                        "--connection", "nope"]),
+        ("jetfield", ["residual", "--model", LINE, "--section", "square_half",
+                      "--jetfield", "nope"]),
+        # every given entry is looked up before the body checks its modes
+        ("jetfield", ["residual", "--model", PLANE, "--section", "exp_sum",
+                      "--connection", "flat", "--jetfield", "nope"]),
+        ("christoffel", ["covariant", "--model", PLANE, "--christoffel", "nope",
+                         "--section", "affine"]),
+        ("connection", ["covariant", "--model", PLANE, "--connection", "nope",
+                        "--section", "affine", "--field", "1,0"]),
+        ("manifold_connection", ["covariant", "--model", SPHERE, "--manifold-connection", "nope",
+                                 "--field", "1,0", "--other-field", "0,1", "--point", "1,0"]),
+        ("section", ["covariant", "--model", PLANE, "--christoffel", "constant",
+                     "--section", "nope"]),
+        ("section", ["covariant", "--model", SPHERE, "--manifold-connection", "levi_civita",
+                     "--section", "nope", "--field", "1,0", "--other-field", "0,1",
+                     "--point", "1,0"]),
+        ("section", ["linear-check", "--model", PLANE, "--connection", "linear",
+                     "--section", "nope"]),
+    ])
+    def test_unknown_optional_entry(self, runner, kind, args):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"error: unknown {kind} 'nope'"), result.stderr
+
+    def test_optional_entries_reported_when_given(self, runner, tmp_path):
+        args = ["linear-check", "--model", PLANE, "--connection", "linear"]
+        result, out = run_case(runner, args + ["--section", "affine"], tmp_path, "given")
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["section"] == "affine"
+        result, out = run_case(runner, args, tmp_path, "default")
+        assert result.exit_code == 0, result.output
+        assert "section" not in json.loads(out.read_text())
+
+    def test_entry_options_keep_help_and_order(self, runner):
+        result = runner.invoke(cli.main, ["covariant", "--help"])
+        assert result.exit_code == 0
+        assert "General (possibly nonlinear) connection" in result.output
+        flags = ["--christoffel", "--connection", "--manifold-connection", "--section", "--field"]
+        positions = [result.output.index(f"{flag} ") for flag in flags]
+        assert positions == sorted(positions)
+        assert result.output.count("--connection ") == 1
+        result = runner.invoke(cli.main, ["linear-check", "--help"])
+        assert "Section for the Leibniz probe" in result.output
 
     @pytest.mark.parametrize("name", list(cli.main.commands))
     def test_shared_error_path(self, runner, name):
