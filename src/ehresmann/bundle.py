@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 from . import expr as ex
 from .errors import ChartError
@@ -33,16 +32,24 @@ def jet_names(base_names, fiber_names):
 
 def check_table(table, shape, allowed, what):
     """Check that ``table`` nests as ``shape`` (rows first, e.g. ``(n, m)``)
-    and that each entry uses only the names in ``allowed``; otherwise raise
-    :class:`ChartError` naming ``what`` and the offending entry."""
-    level = [table]
-    for size in shape:
-        if any(len(rows) != size for rows in level):
-            raise ChartError(f"{what} table must be {' x '.join(map(str, shape))}")
-        level = [row for rows in level for row in rows]
-    for index, entry in zip(product(*map(range, shape)), level):
-        label = what + "".join(f"[{k + 1}]" for k in index)
-        BundleChart.check_expression(entry, allowed, label)
+    in tuples or lists of expressions that use only the names in
+    ``allowed``; otherwise raise :class:`ChartError` naming ``what`` and the
+    offending index, e.g. ``Gamma[1]: expected 2 entries, found 1``."""
+    if not shape:
+        if not isinstance(table, ex.Expr):
+            raise ChartError(f"{what}: expected an expression, found {type(table).__name__}")
+        BundleChart.check_expression(table, allowed, what)
+        return
+    size, sequence = shape[0], isinstance(table, (tuple, list))
+    if not (sequence and len(table) == size):
+        if sequence:
+            found = len(table)
+        else:
+            found = "an expression" if isinstance(table, ex.Expr) else type(table).__name__
+        entries = "entry" if size == 1 else "entries"
+        raise ChartError(f"{what}: expected {size} {entries}, found {found}")
+    for k, row in enumerate(table):
+        check_table(row, shape[1:], allowed, f"{what}[{k + 1}]")
 
 
 def check_box(box, names):
@@ -125,14 +132,8 @@ class Section:
     components: tuple  # n expressions in the base coordinates
 
     def __post_init__(self):
-        if len(self.components) != self.chart.n:
-            raise ChartError(
-                f"section needs {self.chart.n} components, got {len(self.components)}"
-            )
-        for i, comp in enumerate(self.components):
-            self.chart.check_expression(
-                comp, self.chart.base_names, f"section component {i + 1}"
-            )
+        chart = self.chart
+        check_table(self.components, (chart.n,), chart.base_names, "section component")
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,7 @@ class JetSection:
 
     def __post_init__(self):
         chart = self.chart
-        if len(self.components) != chart.n:
-            raise ChartError("wrong number of fiber components")
-        for i, comp in enumerate(self.components):
-            chart.check_expression(comp, chart.base_names, f"component {i + 1}")
+        check_table(self.components, (chart.n,), chart.base_names, "component")
         check_table(self.jet_components, (chart.n, chart.m), chart.base_names, "jet component")
 
     def base_section(self):

@@ -61,15 +61,13 @@ class _FieldComponents:
     fiber_components: tuple  # length n
 
     def __post_init__(self):
-        chart = self.chart
-        if len(self.base_components) != chart.m or len(self.fiber_components) != chart.n:
-            raise ChartError(f"{self.noun} needs m base and n fiber components")
-        for comp in self.base_components + self.fiber_components:
-            chart.check_expression(comp, chart.coordinate_names, f"{self.noun} component")
+        chart, names = self.chart, self.chart.coordinate_names
+        check_table(self.base_components, (chart.m,), names, f"{self.noun} base component")
+        check_table(self.fiber_components, (chart.n,), names, f"{self.noun} fiber component")
 
     @property
     def components(self):
-        return self.base_components + self.fiber_components
+        return (*self.base_components, *self.fiber_components)
 
     def __add__(self, other):
         _same_chart(self, other)

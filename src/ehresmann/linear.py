@@ -186,19 +186,12 @@ def linear_to_ehresmann(symbols: Christoffel) -> EhresmannConnection:
     return EhresmannConnection(chart, gamma)
 
 
-def _check_base_field(chart, Z):
-    if len(Z) != chart.m:
-        raise ChartError(f"base vector field needs {chart.m} components")
-    for comp in Z:
-        chart.check_expression(comp, chart.base_names, "base vector field component")
-
-
 def covariant_derivative(symbols: Christoffel, Z, phi: Section) -> Section:
     """nabla_Z phi with components g^mu (d phi^i/dx^mu + Gamma^i_{j mu} phi^j)."""
     chart = symbols.chart
     if phi.chart != chart:
         raise ChartError("section lives on a different chart")
-    _check_base_field(chart, Z)
+    check_table(Z, (chart.m,), chart.base_names, "base vector field component")
     differential = covariant_differential(symbols, phi)
     components = tuple(
         ex.normalize(
@@ -234,7 +227,7 @@ def general_covariant_derivative(connection: EhresmannConnection, Z, phi: Sectio
     chart = connection.chart
     if phi.chart != chart:
         raise ChartError("section lives on a different chart")
-    _check_base_field(chart, Z)
+    check_table(Z, (chart.m,), chart.base_names, "base vector field component")
     residual = integral_section_residual(connection, phi)
     return tuple(
         ex.normalize(ex.Sum(tuple(Z[mu] * residual[i][mu] for mu in range(chart.m))))

@@ -55,18 +55,12 @@ def _parse_expr(text, where):
         raise ModelError(f"{where}: {err}") from err
 
 
-def _parse_table(rows, shape, where):
-    if len(rows) != shape[0]:
-        raise ModelError(f"{where}: expected {shape[0]} rows, found {len(rows)}")
-    out = []
-    for r, row in enumerate(rows):
-        if len(shape) == 1:
-            out.append(_parse_expr(row, f"{where}[{r + 1}]"))
-            continue
-        if not isinstance(row, list):
-            raise ModelError(f"{where}[{r + 1}]: expected a list")
-        out.append(_parse_table(row, shape[1:], f"{where}[{r + 1}]"))
-    return tuple(out)
+def _parse_table(rows, where):
+    """Nested lists of expression texts as nested tuples of expressions; the
+    constructor that receives the table checks its shape."""
+    if isinstance(rows, list):
+        return tuple(_parse_table(row, f"{where}[{k + 1}]") for k, row in enumerate(rows))
+    return _parse_expr(rows, where)
 
 
 def _names(value, prefix, what):
@@ -120,7 +114,7 @@ def load(path) -> ModelFile:
     """Load and fully validate a model file."""
     try:
         with open(path) as handle:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as err:
         raise ModelError(f"{path}: not valid YAML: {err}") from err
     except OSError as err:
@@ -177,40 +171,40 @@ def load(path) -> ModelFile:
     for name, block in (raw.get("connections") or {}).items():
         where = f"connections.{name}"
         chart = need_chart(where)
-        table = _table(block, "gamma", (chart.n, chart.m), where)
+        table = _table(block, "gamma", where)
         model.connections[name] = _build(where, EhresmannConnection, chart, table)
 
     for name, block in (raw.get("jetfields") or {}).items():
         where = f"jetfields.{name}"
         chart = need_chart(where)
-        F = _table(block, "F", (chart.n, chart.m), where)
-        G = _table(block, "G", (chart.n, chart.m, chart.m), where)
+        F = _table(block, "F", where)
+        G = _table(block, "G", where)
         model.jetfields[name] = _build(where, JetField2, JetChart(chart), F, G)
 
     for name, block in (raw.get("christoffels") or {}).items():
         where = f"christoffels.{name}"
         chart = need_chart(where)
-        table = _table(block, "gamma", (chart.n, chart.n, chart.m), where)
+        table = _table(block, "gamma", where)
         model.christoffels[name] = _build(where, Christoffel, chart, table)
 
     for name, block in (raw.get("manifold_connections") or {}).items():
         where = f"manifold_connections.{name}"
-        m = len(need_manifold(where))
-        table = _table(block, "gamma", (m, m, m), where)
+        names = need_manifold(where)
+        table = _table(block, "gamma", where)
         model.manifold_connections[name] = _build(
-            where, ManifoldConnection, model.manifold_names, table, dict(model.manifold_box)
+            where, ManifoldConnection, names, table, dict(model.manifold_box)
         )
 
     for name, block in (raw.get("sections") or {}).items():
         where = f"sections.{name}"
         chart = need_chart(where)
-        components = _table(block, "components", (chart.n,), where)
+        components = _table(block, "components", where)
         model.sections[name] = _build(where, Section, chart, components)
 
     for name, block in (raw.get("curves") or {}).items():
         where = f"curves.{name}"
         names = tuple(need_manifold(where))
-        components = _table(block, "components", (len(names),), where)
+        components = _table(block, "components", where)
         domain = block.get("domain", [0.0, 1.0])
         if not (isinstance(domain, list) and len(domain) == 2):
             raise ModelError(f"{where}.domain: expected [t0, t1]")
@@ -229,11 +223,8 @@ def load(path) -> ModelFile:
     return model
 
 
-def _table(block, key, shape, where):
-    """The list under ``key`` of a block, parsed as a table of ``shape``."""
+def _table(block, key, where):
+    """The table under ``key`` of a block, parsed."""
     if not isinstance(block, dict) or key not in block:
         raise ModelError(f"{where}: missing {key!r}")
-    rows = block[key]
-    if not isinstance(rows, list):
-        raise ModelError(f"{where}.{key}: expected a list")
-    return _parse_table(rows, shape, f"{where}.{key}")
+    return _parse_table(block[key], f"{where}.{key}")

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from . import expr as ex
 from . import kernel
-from .bundle import Section
+from .bundle import Section, check_table
 from .connection import VectorField, split_vector_field
 from .errors import ChartError, EhresmannError, OutsideChartError
 from .linear import ManifoldConnection, covariant_derivative
@@ -49,14 +49,8 @@ class Curve:
     periods: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.components) != len(self.coordinate_names):
-            raise ChartError("curve needs one component per coordinate")
-        for comp in self.components:
-            extra = ex.free_variables(comp) - {PARAMETER_NAME}
-            if extra:
-                raise ChartError(
-                    f"curve components may only use {PARAMETER_NAME!r}, found {sorted(extra)}"
-                )
+        shape = (len(self.coordinate_names),)
+        check_table(self.components, shape, (PARAMETER_NAME,), "curve component")
         if not self.domain[1] > self.domain[0]:
             raise ChartError("curve domain must be a nondegenerate interval")
         if not all(map(math.isfinite, self.domain)):
@@ -235,13 +229,7 @@ def hv_project_tm(mc: ManifoldConnection, base_components, fiber_components):
     H(W) = a^nu (d/dx^nu - Gamma^rho_{nu mu} v^mu d/dv^rho) and
     V(W) = (b^rho + a^nu Gamma^rho_{nu mu} v^mu) d/dv^rho.
     """
-    m = mc.m
-    if len(base_components) != m or len(fiber_components) != m:
-        raise ChartError("need m base and m fiber components")
-    chart = mc.tangent_chart()
-    for comp in tuple(base_components) + tuple(fiber_components):
-        chart.check_expression(comp, chart.coordinate_names, "TM field component")
-    W = VectorField(chart, tuple(base_components), tuple(fiber_components))
+    W = VectorField(mc.tangent_chart(), tuple(base_components), tuple(fiber_components))
     horizontal, vertical = split_vector_field(mc.to_ehresmann(), W)
     return (
         (horizontal.base_components, horizontal.fiber_components),
@@ -253,8 +241,7 @@ def complete_lift(mc: ManifoldConnection, Y):
     """Complete lift of the base field Y to the tangent bundle:
     Y^nu d/dx^nu + (dY^rho/dx^mu) v^mu d/dv^rho."""
     m = mc.m
-    if len(Y) != m:
-        raise ChartError("base vector field needs m components")
+    check_table(Y, (m,), mc.coordinate_names, "base vector field component")
     velocities = mc.tangent_chart().fiber_names
     fiber = []
     for rho in range(m):

@@ -1,5 +1,6 @@
 """Print the label, exit code, stdout and ``-o`` report of every
-``conftest.CLI_CASES`` invocation, the ``--help`` of the group and of every
+``conftest.CLI_CASES`` invocation, the exit code and stderr of ``expr`` on
+every ``conftest.BAD_MODELS`` model, the ``--help`` of the group and of every
 subcommand, and the exit code and stderr of every ``conftest.UNKNOWN_ENTRY``
 invocation, all run in-process with click's CliRunner.
 
@@ -23,7 +24,7 @@ from click.testing import CliRunner
 
 from ehresmann import cli
 
-from conftest import CLI_CASES, UNKNOWN_ENTRY
+from conftest import BAD_MODELS, CLI_CASES, UNKNOWN_ENTRY
 
 
 def main():
@@ -38,6 +39,12 @@ def main():
             sys.stdout.write("-- report\n" + report)
             if not report.endswith("\n"):
                 sys.stdout.write("\n")
+        for name, text in BAD_MODELS.items():
+            path = Path(scratch) / f"{name}.yaml"
+            path.write_text(text)
+            result = runner.invoke(cli.main, ["expr", "--model", str(path), "--text", "0"])
+            sys.stdout.write(f"== bad model {name}: exit {result.exit_code}\n")
+            sys.stdout.write("-- stderr\n" + result.stderr)
     for name in [None, *sorted(cli.main.commands)]:
         args = ["--help"] if name is None else [name, "--help"]
         result = runner.invoke(cli.main, args, prog_name="ehresmann")

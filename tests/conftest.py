@@ -233,6 +233,22 @@ UNKNOWN_ENTRY = {
              "--fiber", "1,0", "--vector", "0,1"],
 }
 
+# malformed model tables, each with one shape defect in the entry named
+# "broken": name -> model text; shared by the model tests and the CLI report
+_PLANE = "bundle: {base: 2, fiber: 1}\n"
+_SURFACE = "manifold: {coords: [a, b]}\n"
+BAD_MODELS = {
+    "connections-short-row": _PLANE + "connections:\n  broken:\n    gamma:\n      - [\"y1\"]\n",
+    "connections-extra-row": _PLANE + "connections: {broken: {gamma: [[y1, x1], [x1, y1]]}}\n",
+    "jetfields-G-extra-row": _PLANE + (
+        "jetfields: {broken: {F: [[y1_1, y1_2]], G: [[[0, 0], [0, 0], [0, 0]]]}}\n"
+    ),
+    "christoffels-string-row": _PLANE + "christoffels: {broken: {gamma: [[x1]]}}\n",
+    "manifold_connections-scalar": _SURFACE + "manifold_connections: {broken: {gamma: a}}\n",
+    "sections-too-deep": _PLANE + "sections: {broken: {components: [[x1]]}}\n",
+    "curves-short": _SURFACE + "curves: {broken: {components: [t]}}\n",
+}
+
 
 def latitude_loop(theta):
     from ehresmann.transport import Curve

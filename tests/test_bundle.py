@@ -88,6 +88,11 @@ class TestSection:
         chart = BundleChart.standard(1, 2)
         with pytest.raises(ChartError):
             Section(chart, (ex.parse("x1"),))
+        # a component that is not an expression, and components not in a tuple or list
+        with pytest.raises(ChartError, match="expected an expression, found str"):
+            Section(BundleChart.standard(2, 1), ("x1",))
+        with pytest.raises(ChartError, match="expected 2 entries, found an expression"):
+            Section(chart, ex.parse("x1"))
 
 
 class TestProlongation:

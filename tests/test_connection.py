@@ -40,8 +40,14 @@ def _connection(m, n, rows):
 
 class TestConstruction:
     def test_table_shape(self):
-        with pytest.raises(ChartError):
+        with pytest.raises(ChartError, match=r"^Gamma\[1\]: expected 2 entries, found 1$"):
             _connection(2, 1, [["y1"]])
+        # an entry that is not an expression is refused the same way
+        with pytest.raises(ChartError, match=r"^Gamma\[1\]\[1\]: expected an expression"):
+            EhresmannConnection(BundleChart.standard(2, 1), (("y1", "0"),))
+        # a list is a table level as a tuple is
+        field = VectorField(BundleChart.standard(1, 1), [ex.ONE], (ex.ZERO,))
+        assert field.components == (ex.ONE, ex.ZERO)
 
     def test_unknown_coordinate(self):
         with pytest.raises(ChartError):

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 import ehresmann
@@ -13,7 +14,22 @@ from ehresmann import expr as ex
 from ehresmann.errors import ModelError
 from ehresmann.model import load
 
-from conftest import CLI_CASES, LINE, MODELS, PLANE, SPHERE, UNKNOWN_ENTRY
+from conftest import BAD_MODELS, CLI_CASES, LINE, MODELS, PLANE, SPHERE, UNKNOWN_ENTRY
+
+# the error of each conftest.BAD_MODELS entry: the entry, then the
+# constructor's table name, the offending index and the shape defect
+BAD_MODEL_ERRORS = {
+    "connections-short-row": "connections.broken: Gamma[1]: expected 2 entries, found 1",
+    "connections-extra-row": "connections.broken: Gamma: expected 1 entry, found 2",
+    "jetfields-G-extra-row": "jetfields.broken: G[1]: expected 2 entries, found 3",
+    "christoffels-string-row":
+        "christoffels.broken: Christoffel[1][1]: expected 2 entries, found an expression",
+    "manifold_connections-scalar":
+        "manifold_connections.broken: connection: expected 2 entries, found an expression",
+    "sections-too-deep":
+        "sections.broken: section component[1]: expected an expression, found tuple",
+    "curves-short": "curves.broken: curve component: expected 2 entries, found 1",
+}
 
 
 # --------------------------------------------------------------------------
@@ -52,6 +68,13 @@ class TestModelLoading:
         assert model.chart.m == 1
         assert "free_fall" in model.jetfields
 
+    def test_same_model_without_libyaml(self, monkeypatch):
+        shipped = sorted(MODELS.glob("*.yaml"))
+        assert len(shipped) == 3
+        default = [load(str(path)) for path in shipped]
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert [load(str(path)) for path in shipped] == default
+
     def test_require_unknown_name(self):
         model = load(PLANE)
         with pytest.raises(ModelError) as info:
@@ -74,15 +97,13 @@ class TestModelLoading:
         with pytest.raises(ModelError):
             load(str(path))
 
-    def test_wrong_gamma_shape(self, tmp_path):
+    @pytest.mark.parametrize("case", sorted(BAD_MODELS))
+    def test_wrong_gamma_shape(self, tmp_path, case):
         path = tmp_path / "bad.yaml"
-        path.write_text(
-            "bundle:\n  base: 2\n  fiber: 1\n"
-            "connections:\n  broken:\n    gamma:\n      - [\"y1\"]\n"
-        )
+        path.write_text(BAD_MODELS[case])
         with pytest.raises(ModelError) as info:
             load(str(path))
-        assert "expected 2" in str(info.value)
+        assert str(info.value) == BAD_MODEL_ERRORS[case]
 
     def test_bad_expression_reported_with_location(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -211,6 +232,11 @@ class TestCliCommands:
              "--jetfield", "sopde_flat", "--section", "exp_sum"],
             # malformed vector length
             ["split", "--model", PLANE, "--connection", "flat", "--vector", "1,2"],
+            # a lifted field that is not a base field
+            ["lift", "--model", SPHERE, "--manifold-connection", "levi_civita", "--point", "1,0",
+             "--fiber", "1,0", "--vector", "0,1", "--field", "v1,th"],
+            ["lift", "--model", SPHERE, "--manifold-connection", "levi_civita", "--point", "1,0",
+             "--fiber", "1,0", "--vector", "0,1", "--field", "q,th"],
             # christoffels on a nonlinear connection
             ["christoffels", "--model", PLANE, "--connection", "quadratic"],
             # malformed bindings and sweep order

@@ -297,3 +297,7 @@ class TestCovariantViaCompleteLift:
         mc = flat_connection()
         with pytest.raises(ChartError):
             covariant_via_complete_lift(mc, (ex.ONE,), (ex.ONE, ex.ZERO), [0.0, 0.0])
+        # the lifted field is a base field: no velocity, no unknown name
+        for text in ("v1", "q"):
+            with pytest.raises(ChartError, match=r"base vector field component\[1\] uses"):
+                complete_lift(mc, (ex.parse(text), ex.ZERO))
