@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import expr as ex
 from . import kernel
@@ -262,16 +263,14 @@ def add_vertical(connection: EhresmannConnection, gamma_shift):
 # numeric integral sections
 
 
-def _sweep(connection, axis):
+@lru_cache(maxsize=kernel.CACHED)
+def _sweep(names, bounds, column, axis, exact):
     """Compiled RK4 sweep ``run(s0, h, steps, fiber, *x)`` of the fiber
     values along the coordinate line of x[axis] from s0, holding the other
     base coordinates ``x`` fixed, with slope the column Gamma^i_axis.  Every
-    stage point is checked against the chart box."""
-    chart = connection.chart
-    names = chart.coordinate_names
-    column = ex.compile_exprs([row[axis] for row in connection.gamma], names)
-    base = [f"b{mu}" for mu in range(chart.m)]
-    bounds = [chart.bounds(name) for name in names]
+    stage point is checked against the box ``bounds``.  ``exact`` (the
+    column's repr) tells Const(-0.0) from Const(0.0) in the key."""
+    base = [f"b{mu}" for mu in range(len(names) - len(column))]
 
     def outside(*point):
         bindings = dict(zip(names, point))
@@ -286,8 +285,8 @@ def _sweep(connection, axis):
             f"{', '.join(k)}, = _column({args})",
         ]
 
-    env = {"_column": column, "_outside": outside}
-    return kernel.compile_rk4(chart.n, stage, env, params=base)
+    env = {"_column": ex.compile_exprs(column, names), "_outside": outside}
+    return kernel.compile_rk4(len(column), stage, env, params=base)
 
 
 def integral_section(
@@ -325,7 +324,8 @@ def integral_section(
     axes = list(order) if order is not None else list(range(chart.m))
     if sorted(axes) != list(range(chart.m)):
         raise ChartError(f"order must be a permutation of 0..{chart.m - 1}")
-    sweeps = {}  # axis -> its compiled sweep, built when a target first moves along it
+    names = chart.coordinate_names
+    bounds = tuple(tuple(map(float, chart.bounds(name))) for name in names)
     results = []
     for target in targets:
         if len(target) != chart.m:
@@ -341,9 +341,9 @@ def integral_section(
                 if not math.isfinite(span):
                     raise ChartError(f"target {list(target)} is too far for {steps} steps per unit")
                 count = max(1, round(span))
-                if axis not in sweeps:
-                    sweeps[axis] = _sweep(connection, axis)
-                y = sweeps[axis](x[axis], length / count, count, y, *x)
+                column = tuple(row[axis] for row in connection.gamma)
+                sweep = _sweep(names, bounds, column, axis, repr(column))
+                y = sweep(x[axis], length / count, count, y, *x)
                 x[axis] = float(target[axis])
         results.append(y)
     return results

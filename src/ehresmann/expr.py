@@ -505,6 +505,7 @@ def _generate(exprs, operands, prefix, env):
         return atoms[key]
 
     results = [emit(e) for e in exprs]
+    del emit  # it holds itself through its cell, and with it lines and env
     top = max(constants)  # first, so that an infinite one decides the max
     return lines, results, [repr(top) if top < math.inf else bind(top), *sizes]
 

@@ -3,18 +3,20 @@
 :func:`define` compiles every generated function, with its body in one
 ``try``: a line that can leave the reals is tagged with its
 :class:`DomainError` message, which the one handler looks up by line number.
-``compile_rk4`` is the package's only RK4: once per integration it generates
-one function that runs every step in a single frame, with the state, stages
-and per-time values (such as the transport geometry) in local variables.
+``compile_rk4`` is the package's only RK4: it generates one function that
+runs every step in a single frame, with the state, stages and per-time values
+(such as the transport geometry) in local variables; its callers keep up to
+:data:`CACHED` such loops per cache, each compiled once per geometry.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
 
-__all__ = ["TAG", "box_test", "compile_rk4", "define"]
+__all__ = ["CACHED", "TAG", "box_test", "compile_rk4", "define"]
 
 TAG = "  #! "  # separates a line from the message of the error it can raise
+CACHED = 64  # compiled RK4 loops kept per cache, the least recently used dropped
 
 
 def define(head, lines, env):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import expr as ex
 from . import kernel
@@ -62,15 +62,18 @@ class Curve:
                 raise ChartError(f"period for {name!r} must be finite and positive, got {period}")
 
     def point(self, t):
-        return ex.compile_exprs(self.components, (PARAMETER_NAME,))(float(t))
+        return self._point(float(t))
+
+    @cached_property
+    def _point(self):  # the compiled point function
+        return ex.compile_exprs(self.components, (PARAMETER_NAME,))
 
     @cached_property
     def velocity_exprs(self):
         return tuple(ex.differentiate(comp, PARAMETER_NAME) for comp in self.components)
 
     def is_closed(self, tol=1e-12):
-        point = ex.compile_exprs(self.components, (PARAMETER_NAME,))
-        start, end = (point(float(t)) for t in self.domain)
+        start, end = map(self.point, self.domain)
         for name, a, b in zip(self.coordinate_names, start, end):
             gap = abs(a - b)
             period = self.periods.get(name)
@@ -115,66 +118,76 @@ class TransportResult:
 def _transport(mc, curve, y0, steps, record=None):
     """RK4 solution of the transport ODE for the vectors stacked in y0, m
     values each, with step (T - t0)/steps; returns (step size, final state).
-    The geometry (point, velocity, box check, nonzero Gamma entries) depends
-    on the time alone: its statements are generated into the loop, where
-    they run once per distinct time."""
+    The loop is compiled once per geometry by :func:`_loop`; the steps, the
+    step size, t0 and y0 are its arguments."""
     if tuple(curve.coordinate_names) != tuple(mc.coordinate_names):
         raise ChartError("curve and connection use different coordinates")
     if steps < 1:
         raise ChartError("steps must be at least 1")
-    m = mc.m
+    names = tuple(mc.coordinate_names)
+    bounds = tuple(tuple(map(float, mc.bounds(name))) for name in names)
+    gamma = tuple(tuple(map(tuple, plane)) for plane in mc.gamma)  # hashable
+    components = tuple(curve.components)
+    run = _loop(names, bounds, gamma, components, len(y0), repr((gamma, components)))
+    t0, t1 = map(float, curve.domain)
+    h = (t1 - t0) / steps
+    return h, run(t0, h, steps, y0, record=record)
+
+
+@lru_cache(maxsize=kernel.CACHED)
+def _loop(names, bounds, gamma, components, width, exact):
+    """The RK4 loop for ``width`` values along the curve ``components``.  The
+    geometry (point, velocity, box check, nonzero Gamma entries) depends on
+    the time alone: it is generated into the loop, once per distinct time.
+    ``exact`` (the trees' repr) tells Const(-0.0) from Const(0.0) in the key."""
+    m = len(names)
 
     def outside(t):
         return OutsideChartError(f"curve leaves the chart box at t={t}")
 
     env = {"_outside": outside}
-    along, geometry, _ = ex._generate(
-        [*curve.components, *curve.velocity_exprs], {PARAMETER_NAME: "s"}, "w", env
-    )
+    velocity = (ex.differentiate(comp, PARAMETER_NAME) for comp in components)
+    along, geometry, _ = ex._generate([*components, *velocity], {PARAMETER_NAME: "s"}, "w", env)
     point, velocity = geometry[:m], geometry[m:]
-    entries, values = _gamma(mc)
-    gamma, g, _ = ex._generate(values, dict(zip(mc.coordinate_names, point)), "g", env)
+    entries, values = _gamma(gamma)
+    coefficients, g, _ = ex._generate(values, dict(zip(names, point)), "g", env)
     rows = [
         [(j, nu, mu) for j, (r, nu, mu) in enumerate(entries) if r == rho]
         for rho in range(m)
     ]
-    bounds = [mc.bounds(name) for name in mc.coordinate_names]
     at = [  # the point, the velocity and the Gamma entries at time s
         *along,
         f"if not ({kernel.box_test(point, bounds)}):",
         "    raise _outside(s)",
-        *gamma,
+        *coefficients,
     ]
 
     def stage(X, k):
         # -(0.0 + g X v + ...) per component, summed in the order of ``entries``
         sums = (
             "".join(f" + {g[j]} * {X[base + mu]} * {velocity[nu]}" for j, nu, mu in row)
-            for base in range(0, len(y0), m)
+            for base in range(0, width, m)
             for row in rows
         )
         return [f"{out} = -(0.0{terms})" for out, terms in zip(k, sums)]
 
-    run = kernel.compile_rk4(len(y0), stage, env, at)
-    t0, t1 = map(float, curve.domain)
-    h = (t1 - t0) / steps
-    return h, run(t0, h, steps, y0, record=record)
+    return kernel.compile_rk4(width, stage, env, at)
 
 
-def _gamma(mc):
+def _gamma(gamma):
     """The indices (rho, nu, mu) of the Gamma entries that are not a literal
     zero, ascending, and those entries.  The zeros are left out of every
     contraction Gamma u v: they would only add signed zeros to a finite
     sum."""
-    m = mc.m
+    m = len(gamma)
     entries = [
         (rho, nu, mu)
         for rho in range(m)
         for nu in range(m)
         for mu in range(m)
-        if mc.gamma[rho][nu][mu] != ex.ZERO
+        if gamma[rho][nu][mu] != ex.ZERO
     ]
-    return entries, [mc.gamma[rho][nu][mu] for rho, nu, mu in entries]
+    return entries, [gamma[rho][nu][mu] for rho, nu, mu in entries]
 
 
 def parallel_transport(
@@ -212,7 +225,7 @@ def horizontal_lift_vector(mc: ManifoldConnection, p, u, v):
         low, high = mc.bounds(name)
         if not (low <= value <= high):
             raise OutsideChartError(f"point outside the chart box: {name}={value}")
-    entries, values = _gamma(mc)
+    entries, values = _gamma(mc.gamma)
     gamma = ex.compile_exprs(values, mc.coordinate_names)
     totals = [0.0] * m
     for (rho, nu, mu), value in zip(entries, gamma(*map(float, p))):

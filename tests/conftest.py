@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ehresmann import connection, transport
 from ehresmann import expr as ex
 from ehresmann.bundle import BundleChart
 from ehresmann.connection import EhresmannConnection
@@ -19,6 +20,14 @@ TAU = 2.0 * math.pi
 @pytest.fixture
 def probe():
     return ex.ProbeConfig(seed=99)
+
+
+@pytest.fixture
+def cold_kernels():
+    """Empty the caches of compiled RK4 loops, so that what a test compiles
+    does not depend on the tests that ran before it."""
+    transport._loop.cache_clear()
+    connection._sweep.cache_clear()
 
 
 def central_difference(e, name, bindings, h=1e-5):

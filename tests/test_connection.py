@@ -32,6 +32,8 @@ from ehresmann.errors import ChartError, NotIntegrableError, OutsideChartError, 
 import tree_walker
 from conftest import PLANE, random_connection, random_polynomial
 
+pytestmark = pytest.mark.usefixtures("cold_kernels")  # compile counts are per test
+
 
 def _connection(m, n, rows):
     chart = BundleChart.standard(m, n)
@@ -321,15 +323,26 @@ class TestIntegralSection:
     def test_sweeps_built_for_moved_axes_only(self, monkeypatch):
         built = []
 
-        def counting(connection, axis):
+        def counting(names, bounds, column, axis, exact):
             built.append(axis)
-            return sweep(connection, axis)
+            return sweep(names, bounds, column, axis, exact)
 
         sweep = cn._sweep
         monkeypatch.setattr(cn, "_sweep", counting)
         conn = _connection(3, 1, [["y1", "y1", "y1"]])
         targets = [[0.0, 0.5, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 0.0]]
         values = integral_section(conn, [0.0, 0.0, 0.0], [1.0], targets, steps=100)
-        assert built == [1]  # once, for the only axis a target moves along
+        assert built == [1, 1]  # only the axis a target moves along, once per target
+        assert sweep.cache_info().misses == 1  # compiled once
         assert values[0][0] == pytest.approx(math.exp(0.5), rel=1e-8)
         assert values[2] == [1.0]
+
+    def test_signed_zero_columns_compile_apart(self):
+        # Const(0.0) == Const(-0.0), but the two are different literals in a
+        # sweep: a cache keyed by == alone would give [[0.0]] the second time
+        got = []
+        for z in (0.0, -0.0):
+            conn = EhresmannConnection(BundleChart.standard(1, 1), ((ex.Const(z),),))
+            got.append(integral_section(conn, [0.0], [-0.0], [[1.0]], steps=4, check_integrable=False))
+        assert repr(got) == "[[[0.0]], [[-0.0]]]"
+        assert cn._sweep.cache_info().misses == 2

@@ -4,11 +4,12 @@
 returns, or raise the same error, at every point, and the probing scale of
 ``expr._evaluate_scaled`` must equal the walker's.  Transport, holonomy and
 integral sections must equal, bit for bit, the RK4 loops over the walker that
-they replaced; those loops are kept below as the reference.
+they replaced, whether their loop is compiled by the call or reused from an
+earlier one; those loops are kept below as the reference.
 """
 
-import builtins
 import dataclasses
+import gc
 import math
 import random
 
@@ -36,6 +37,8 @@ from conftest import (
     random_symmetric_manifold_connection,
     sphere_connection,
 )
+
+pytestmark = pytest.mark.usefixtures("cold_kernels")  # compile counts are per test
 
 
 def _outcome(fn):
@@ -142,6 +145,18 @@ class TestCompileExprs:
     def test_evaluate_takes_any_number_type(self):
         e = ex.parse("x^2 + y")
         assert repr(ex.evaluate(e, {"y": 1, "x": 3})) == repr(tree_walker.evaluate(e, {"y": 1, "x": 3}))
+
+    def test_generate_leaves_no_cycle(self):
+        # the source lines and env go when the call returns, not when the
+        # cycle collector runs
+        tree = ex.parse("sin(x) * x + x^2 - log(x)")
+        gc.collect()
+        gc.disable()
+        try:
+            ex._generate([tree], {"x": "a0"}, "v", {})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_non_float_constants(self):
         # a constant holding another number type is emitted as a float
@@ -394,20 +409,23 @@ def _error_text(fn):
 class TestAgainstReference:
     def test_holonomy_lat60(self, sphere):
         mc, curve = sphere.manifold_connections["levi_civita"], sphere.curves["lat60"]
-        columns = [reference_transport(mc, curve, e, 500)[1][-1] for e in ([1, 0], [0, 1])]
-        assert holonomy(mc, curve, 500) == [[columns[c][r] for c in range(2)] for r in range(2)]
+        for steps in (500, 499):  # the second call reuses the loop
+            columns = [reference_transport(mc, curve, e, steps)[1][-1] for e in ([1, 0], [0, 1])]
+            _same_bits(holonomy(mc, curve, steps), [[columns[c][r] for c in range(2)] for r in range(2)])
 
     @pytest.mark.parametrize("name", ["levi_civita", "twisted"])
     def test_transport_meridian_arc(self, sphere, name):
         mc, curve = sphere.manifold_connections[name], sphere.curves["meridian_arc"]
-        result = parallel_transport(mc, curve, [0.3, -1.1], 300)
-        assert (result.times, result.vectors) == reference_transport(mc, curve, [0.3, -1.1], 300)
+        for u0, steps in (([0.3, -1.1], 300), ([-2.0, 0.5], 301)):  # cold, then warm
+            result = parallel_transport(mc, curve, u0, steps)
+            _same_bits((result.times, result.vectors), reference_transport(mc, curve, u0, steps))
 
     def test_section_plane_flat(self):
         conn = load(PLANE).connections["flat"]
         targets = [[1.0, 1.0], [-0.5, 0.7], [0.0, 0.0]]
-        got = integral_section(conn, [0.1, -0.2], [1.0], targets, steps=100)
-        assert got == reference_section(conn, [0.1, -0.2], [1.0], targets, 100)
+        for _ in range(2):  # cold, then warm
+            got = integral_section(conn, [0.1, -0.2], [1.0], targets, steps=100)
+            _same_bits(got, reference_section(conn, [0.1, -0.2], [1.0], targets, 100))
 
     def test_section_mixed_coefficients(self):
         chart = BundleChart.standard(2, 2)
@@ -417,35 +435,38 @@ class TestAgainstReference:
         )
         conn = EhresmannConnection(chart, gamma)
         targets = [[0.8, -0.6], [-0.3, 0.4]]
-        got = integral_section(conn, [0.0, 0.0], [0.5, -0.5], targets, 60, check_integrable=False)
-        assert got == reference_section(conn, [0.0, 0.0], [0.5, -0.5], targets, 60)
+        for steps in (60, 61):  # cold, then warm
+            got = integral_section(conn, [0.0, 0.0], [0.5, -0.5], targets, steps, check_integrable=False)
+            _same_bits(got, reference_section(conn, [0.0, 0.0], [0.5, -0.5], targets, steps))
 
     @pytest.mark.parametrize("steps", [1, 2, 37])
     @pytest.mark.parametrize("dim, seed", [(2, 601), (2, 602), (3, 603), (3, 604)])
     def test_random_connection(self, dim, seed, steps):
         mc = random_symmetric_manifold_connection(random.Random(seed), dim)
         curve = Curve(mc.coordinate_names, tuple(map(ex.parse, LOOPS[dim])), (0.0, TAU))
-        u0 = [0.3, -1.1, 0.7][:dim]
-        result = parallel_transport(mc, curve, u0, steps)
-        _same_bits((result.times, result.vectors), reference_transport(mc, curve, u0, steps))
-        _same_bits(holonomy(mc, curve, steps), reference_holonomy(mc, curve, steps))
+        for u0 in ([0.3, -1.1, 0.7][:dim], [-0.0, 2.0, -0.5][:dim]):  # cold, then warm
+            result = parallel_transport(mc, curve, u0, steps)
+            _same_bits((result.times, result.vectors), reference_transport(mc, curve, u0, steps))
+            _same_bits(holonomy(mc, curve, steps), reference_holonomy(mc, curve, steps))
 
     @pytest.mark.parametrize("steps", [1, 2, 37])
     def test_zero_coefficients(self, steps):
         zero = ((ex.ZERO, ex.ZERO), (ex.ZERO, ex.ZERO))
         mc = ManifoldConnection(("x1", "x2"), (zero, zero))
         curve = Curve(mc.coordinate_names, tuple(map(ex.parse, LOOPS[2])), (0.0, TAU))
-        result = parallel_transport(mc, curve, [0.0, -0.0], steps)
-        _same_bits((result.times, result.vectors), reference_transport(mc, curve, [0.0, -0.0], steps))
-        _same_bits(holonomy(mc, curve, steps), reference_holonomy(mc, curve, steps))
+        for u0 in ([0.0, -0.0], [-0.0, 0.0]):  # cold, then warm
+            result = parallel_transport(mc, curve, u0, steps)
+            _same_bits((result.times, result.vectors), reference_transport(mc, curve, u0, steps))
+            _same_bits(holonomy(mc, curve, steps), reference_holonomy(mc, curve, steps))
 
     def test_transport_leaves_box_at_midpoint(self):
         # th = 3 + 0.3 t is inside th <= 3.13 at t = 0.4 and outside at 0.45
         mc = sphere_connection()
         curve = Curve(("th", "ph"), (ex.parse("3.0 + 0.3 * t"), ex.Var("t")))
-        text = _error_text(lambda: parallel_transport(mc, curve, [1.0, 0.0], 10))
-        assert text == _error_text(lambda: reference_transport(mc, curve, [1.0, 0.0], 10))
-        assert 0.4 < float(text.split("t=")[1]) < 0.5
+        for steps in (10, 20):  # the warm loop reports its own call's t
+            text = _error_text(lambda: parallel_transport(mc, curve, [1.0, 0.0], steps))
+            assert text == _error_text(lambda: reference_transport(mc, curve, [1.0, 0.0], steps))
+            assert 0.4 < float(text.split("t=")[1]) < 0.5
 
     def test_holonomy_leaves_box_at_midpoint(self):
         # with h = pi/3, th = 3 + 0.14 sin(t) first passes 3.13 at t = pi/2
@@ -468,6 +489,7 @@ class TestAgainstReference:
         targets = [[0.4, -0.3, 0.2], [-0.2, 0.1, 0.5], [0.1, 0.6, -0.1]]
         conn = EhresmannConnection(chart, gamma)
         got = integral_section(conn, x0, y0, targets, 40, order, check_integrable=False)
+        _same_bits(integral_section(conn, x0, y0, targets, 40, order, check_integrable=False), got)
         # the reference sweeps its axes in ascending order, so relabel the
         # base coordinates: its axis k is this sweep's axis order[k]
         def permute(p):
@@ -511,8 +533,8 @@ class TestHorizontalLift:
 
 
 class TestCompileCounts:
-    """Each numeric entry point compiles once per call; loading a model
-    compiles nothing."""
+    """Each RK4 loop compiles once per geometry, each other numeric entry
+    point once per call; loading a model compiles nothing."""
 
     @pytest.fixture
     def compiles(self, monkeypatch):
@@ -524,6 +546,18 @@ class TestCompileCounts:
             return define(*args)
 
         monkeypatch.setattr(ex, "_define", counting)
+        return count
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):  # every generated function, loops too
+        count = []
+        define = kernel.define
+
+        def counting(*args):
+            count.append(1)
+            return define(*args)
+
+        monkeypatch.setattr(kernel, "define", counting)
         return count
 
     def test_model_load_compiles_nothing(self, compiles):
@@ -552,21 +586,56 @@ class TestCompileCounts:
         assert load(SPHERE).curves["lat60"].is_closed()
         assert len(compiles) == 1
 
-    def test_one_compile_per_transport(self, compiles, monkeypatch, sphere):
+    def test_one_compile_per_geometry(self, kernels):
+        sphere = load(SPHERE)  # fresh curves: each keeps its compiled point function
         mc = sphere.manifold_connections["levi_civita"]
-        calls = []
-        compile_ = builtins.compile
+        arc, lat60 = sphere.curves["meridian_arc"], sphere.curves["lat60"]
+        parallel_transport(mc, arc, [1.0, 1.0], 10)
+        assert len(kernels) == 1  # the geometry is in the loop
+        parallel_transport(mc, arc, [0.5, -2.0], 20)
+        assert len(kernels) == 1  # the vector and the steps are arguments
+        holonomy(mc, lat60, 10)
+        assert len(kernels) == 3  # the closure check's kernel, then the loop
+        holonomy(mc, lat60, 30)
+        assert len(kernels) == 3
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return compile_(*args, **kwargs)
+    def test_new_geometry_compiles_again(self, kernels):
+        sphere = load(SPHERE)
+        mc = sphere.manifold_connections["levi_civita"]
+        arc, lat60 = sphere.curves["meridian_arc"], sphere.curves["lat60"]
+        holonomy(mc, lat60, 10)
+        assert len(kernels) == 2
+        for other, curve in [
+            (mc, lat60),  # m values, not the m * m of the holonomy
+            (mc, arc),  # another curve
+            (dataclasses.replace(mc, box={"th": (0.01, 3.0)}), arc),  # another box
+            (sphere.manifold_connections["twisted"], arc),  # another Gamma
+        ]:
+            parallel_transport(other, curve, [1.0, 0.0], 10)
+            parallel_transport(other, curve, [0.0, 1.0], 20)
+        assert len(kernels) == 6
 
-        monkeypatch.setattr(builtins, "compile", counting)
-        parallel_transport(mc, sphere.curves["meridian_arc"], [1.0, 1.0], 10)
-        assert len(calls) == 1 and compiles == []  # the geometry is in the loop
-        holonomy(mc, sphere.curves["lat60"], 10)
-        # the closure check's kernel, then the loop
-        assert len(calls) == 3 and len(compiles) == 1
+    def test_list_tables_and_boxes(self, kernels):
+        # lists are accepted wherever tuples are, and key the caches as tuples
+        mc = ManifoldConnection(["x1"], [[[ex.parse("0.1 * x1")]]], box={"x1": [-2.0, 2.0]})
+        curve = Curve(["x1"], [ex.Var("t")])
+        chart = BundleChart(["x1"], ["y1"], {"x1": [-2.0, 2.0]})
+        conn = EhresmannConnection(chart, [[ex.parse("y1")]])
+        for steps in (10, 11):
+            result = parallel_transport(mc, curve, [1.0], steps)
+            _same_bits(result.vectors, reference_transport(mc, curve, [1.0], steps)[1])
+            got = integral_section(conn, [0.0], [1.0], [[1.0]], steps=steps)
+            _same_bits(got, reference_section(conn, [0.0], [1.0], [[1.0]], steps))
+        assert len(kernels) == 3  # the loop, then the sweep's column and loop
+
+    def test_signed_zero_curves_compile_apart(self, kernels):
+        # Const(0.0) == Const(-0.0), but the two are different literals in a loop
+        mc = random_symmetric_manifold_connection(random.Random(601), 2)
+        for z in (0.0, -0.0, 0.0, -0.0):
+            curve = Curve(mc.coordinate_names, (ex.Const(z), ex.Var("t")))
+            result = parallel_transport(mc, curve, [0.3, -1.1], 5)
+            _same_bits((result.times, result.vectors), reference_transport(mc, curve, [0.3, -1.1], 5))
+        assert len(kernels) == 2
 
 
 class TestHolonomyColumns:
