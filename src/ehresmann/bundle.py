@@ -52,6 +52,21 @@ def check_table(table, shape, allowed, what):
         check_table(row, shape[1:], allowed, f"{what}[{k + 1}]")
 
 
+def check_number(value, what, kind=float):
+    """``value`` as a ``kind``, or :class:`ChartError` naming ``what``; a
+    bool is not a number, and an ``int`` refuses a fraction (``2.0`` is
+    accepted)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError("a bool is not a number")
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ChartError(f"{what}: expected a number, got {value!r}") from err
+    if kind is int and isinstance(value, float) and number != value:
+        raise ChartError(f"{what}: expected an integer, got {value!r}")
+    return number
+
+
 def check_box(box, names):
     """Refuse a box entry for a coordinate outside ``names`` or not low < high, finite."""
     for name, (low, high) in box.items():

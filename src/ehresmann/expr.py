@@ -426,7 +426,7 @@ def _evaluate_scaled(e, names):
     nodes, the base of the relative tolerance in probing, and raises
     :class:`DomainError` where either is not finite."""
     env, operands = {}, {name: f"a{k}" for k, name in enumerate(names)}
-    lines, (result,), sizes = _generate([e], operands, "v", env)
+    lines, (result,), sizes, _ = _generate([e], operands, "v", env)
     largest = sizes[0] if len(sizes) == 1 else f"max({', '.join(sizes)})"
     scaled = _define(env, operands.values(), lines, f"{result}, {largest}")
 
@@ -445,22 +445,25 @@ def compile_exprs(exprs, names):
     floats.  A variable outside ``names`` raises :class:`EvaluationError`
     here, not at call time."""
     env, operands = {}, {name: f"a{k}" for k, name in enumerate(names)}
-    lines, results, _ = _generate(exprs, operands, "v", env)
+    lines, results, _, _ = _generate(exprs, operands, "v", env)
     return _define(env, operands.values(), lines, f"[{', '.join(results)}]")
 
 
-def _generate(exprs, operands, prefix, env):
+def _generate(exprs, operands, prefix, env, moving=frozenset()):
     """Straight-line source lines for ``exprs``, in which a variable is the
     operand that ``operands`` maps its name to, each operation's result is a
     local named ``prefix`` and a number, and the evaluation functions and
     non-finite constants are globals added to ``env``; several calls may
     share one ``env`` with distinct prefixes.  Returns (lines, the operand
     holding each expression's value, the operands whose maximum is the
-    largest |v| over all nodes).  Every distinct operation is one line, so a
-    subtree that occurs twice is evaluated once; a line that can leave the
-    reals carries its message as a :data:`kernel.TAG`."""
+    largest |v| over all nodes, the moving lines).  Every distinct operation
+    is one line, so a subtree that occurs twice is evaluated once; a line
+    that can leave the reals carries its message as a :data:`kernel.TAG`.
+    An operation with an operand in the set ``moving`` is moving: its
+    variable is added to the set (so nothing moves by default), and its
+    lines are also in the moving lines, in order."""
     env.update(_sin=math.sin, _cos=math.cos, _exp=math.exp, _log=math.log, _power=_power)
-    lines = []
+    lines, moved = [], []
     atoms = {}  # operation on operands -> variable holding its value
     sizes = {}  # |v| of each variable and operation, as operands of max()
     constants = [0.0]  # |c| of each constant, inf for a non-finite one
@@ -499,7 +502,11 @@ def _generate(exprs, operands, prefix, env):
             raise TypeError(f"not an expression: {e!r}")
         if key not in atoms:
             atoms[key] = v = f"{prefix}{len(atoms)}"
-            lines.extend(_statements(v, key, bind))
+            statements = _statements(v, key, bind)
+            lines.extend(statements)
+            if not moving.isdisjoint(key[1:]):
+                moving.add(v)
+                moved.extend(statements)
             if key[0] != "-":  # a negation has its operand's size
                 sizes[f"abs({v})"] = True
         return atoms[key]
@@ -507,7 +514,7 @@ def _generate(exprs, operands, prefix, env):
     results = [emit(e) for e in exprs]
     del emit  # it holds itself through its cell, and with it lines and env
     top = max(constants)  # first, so that an infinite one decides the max
-    return lines, results, [repr(top) if top < math.inf else bind(top), *sizes]
+    return lines, results, [repr(top) if top < math.inf else bind(top), *sizes], moved
 
 
 def _define(env, args, lines, returned):

@@ -57,16 +57,20 @@ def box_test(names, bounds):
     )
 
 
-def compile_rk4(size, stage, env, at=(), params=()):
+def compile_rk4(size, stage, env, at=(), moving=(), params=()):
     """One function ``run(t, h, steps, y, *params, record=None)`` that takes
     ``steps`` RK4 steps of size ``h`` from time ``t`` for the ``size`` values
     of ``y`` and returns the final state as a list, extending a ``record``
     list by the time and the state values at the start and after every
     step.  ``stage(ys, ks)`` gives the lines that set the slopes ``ks`` from
-    the states ``ys``, the time ``s`` and the ``params``; the lines ``at``
-    set locals that depend on ``s`` alone, once per distinct time: t + h/2
-    for stages 2 and 3, t + h for stage 4 and the next step's stage 1
-    (``t += h`` is the same float as ``t + h``).  Lines may carry a
+    the states ``ys``, the time ``s`` and the ``params``.  The lines ``at``
+    set locals that depend on ``s`` alone; all of them run once, at s = t,
+    before the first step.  At each later time (t + h/2 for stages 2 and 3,
+    t + h for stage 4 and the next step's stage 1; ``t += h`` is the same
+    float as ``t + h``) only the lines ``moving`` run: the lines of ``at``
+    whose values change with ``s``, and its checks cut down to what changes.
+    A line of ``at`` left out of ``moving`` must keep its value, and raise
+    nothing, at every time once it has run at s = t.  Lines may carry a
     :data:`TAG`.  Other names resolve in ``env``; the lines must not assign
     t, h, s, half, sixth, yI, xI, kJ_I or names starting with ``_``."""
     y, x = [f"y{i}" for i in range(size)], [f"x{i}" for i in range(size)]
@@ -77,9 +81,9 @@ def compile_rk4(size, stage, env, at=(), params=()):
         return [f"{a} = {b} + {c} * {d}" for a, b, d in zip(x, y, k)]
 
     step = [
-        *stage(y, k1), "s = t + half", *at,
+        *stage(y, k1), "s = t + half", *moving,
         *towards("half", k1), *stage(x, k2),
-        *towards("half", k2), *stage(x, k3), "s = t + h", *at,
+        *towards("half", k2), *stage(x, k3), "s = t + h", *moving,
         *towards("h", k3), *stage(x, k4),
         *(f"{a} = {a} + sixth * ({b1} + 2.0 * {b2} + 2.0 * {b3} + {b4})"
           for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)),

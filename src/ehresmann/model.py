@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from . import expr as ex
-from .bundle import BundleChart, JetChart, Section, check_box, default_names
+from .bundle import BundleChart, JetChart, Section, check_box, check_number, default_names
 from .connection import EhresmannConnection
 from .errors import ChartError, EhresmannError, ModelError, ParseError
 from .jetfield import JetField2
@@ -97,17 +97,10 @@ def _build(where, make, *args):
 
 
 def _number(value, where, kind=float):
-    """``value`` as a ``kind``; a bool is not a number, and an ``int``
-    setting refuses a fraction (``2.0`` is accepted)."""
     try:
-        if isinstance(value, bool):
-            raise TypeError("a bool is not a number")
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ModelError(f"{where}: expected a number, got {value!r}") from err
-    if kind is int and isinstance(value, float) and number != value:
-        raise ModelError(f"{where}: expected an integer, got {value!r}")
-    return number
+        return check_number(value, where, kind)
+    except ChartError as err:
+        raise ModelError(str(err)) from err
 
 
 def load(path) -> ModelFile:

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 
 from . import expr as ex
 from . import kernel
-from .bundle import Section, check_table
+from .bundle import Section, check_number, check_table
 from .connection import VectorField, split_vector_field
 from .errors import ChartError, EhresmannError, OutsideChartError
 from .linear import ManifoldConnection, covariant_derivative
@@ -122,11 +122,11 @@ def _transport(mc, curve, y0, steps, record=None):
     step size, t0 and y0 are its arguments."""
     if tuple(curve.coordinate_names) != tuple(mc.coordinate_names):
         raise ChartError("curve and connection use different coordinates")
+    steps = check_number(steps, "steps", int)
     if steps < 1:
         raise ChartError("steps must be at least 1")
-    names = tuple(mc.coordinate_names)
+    names, gamma = _key(mc)
     bounds = tuple(tuple(map(float, mc.bounds(name))) for name in names)
-    gamma = tuple(tuple(map(tuple, plane)) for plane in mc.gamma)  # hashable
     components = tuple(curve.components)
     run = _loop(names, bounds, gamma, components, len(y0), repr((gamma, components)))
     t0, t1 = map(float, curve.domain)
@@ -134,44 +134,66 @@ def _transport(mc, curve, y0, steps, record=None):
     return h, run(t0, h, steps, y0, record=record)
 
 
+def _key(mc):
+    """The coordinate names and the Gamma table of ``mc`` as tuples, to key
+    a cache of compiled functions."""
+    return tuple(mc.coordinate_names), tuple(tuple(map(tuple, plane)) for plane in mc.gamma)
+
+
 @lru_cache(maxsize=kernel.CACHED)
 def _loop(names, bounds, gamma, components, width, exact):
     """The RK4 loop for ``width`` values along the curve ``components``.  The
     geometry (point, velocity, box check, nonzero Gamma entries) depends on
-    the time alone: it is generated into the loop, once per distinct time.
-    ``exact`` (the trees' repr) tells Const(-0.0) from Const(0.0) in the key."""
+    the time alone: it is generated into the loop, in full for the start and
+    then as the lines that move with the time, with the box check cut down
+    to the coordinates that move.  A literal zero velocity component leaves
+    its terms out of the contraction, as :func:`_gamma` leaves zero entries
+    out, and a literal one leaves out its factor (x * 1.0 is x).  ``exact``
+    (the trees' repr) tells Const(-0.0) from Const(0.0) in the key."""
     m = len(names)
 
     def outside(t):
         return OutsideChartError(f"curve leaves the chart box at t={t}")
 
-    env = {"_outside": outside}
-    velocity = (ex.differentiate(comp, PARAMETER_NAME) for comp in components)
-    along, geometry, _ = ex._generate([*components, *velocity], {PARAMETER_NAME: "s"}, "w", env)
-    point, velocity = geometry[:m], geometry[m:]
+    env, moving = {"_outside": outside}, {"s"}
+    velocity = [ex.differentiate(comp, PARAMETER_NAME) for comp in components]
+    along, geometry, _, moving_along = ex._generate(
+        [*components, *velocity], {PARAMETER_NAME: "s"}, "w", env, moving
+    )
+    point = geometry[:m]
+    factors = [  # the velocity factor of each term; None leaves the term out
+        None if v == ex.ZERO else "" if v == ex.Const(1.0) else f" * {operand}"
+        for v, operand in zip(velocity, geometry[m:])
+    ]
     entries, values = _gamma(gamma)
-    coefficients, g, _ = ex._generate(values, dict(zip(names, point)), "g", env)
-    rows = [
-        [(j, nu, mu) for j, (r, nu, mu) in enumerate(entries) if r == rho]
+    coefficients, g, _, moving_coefficients = ex._generate(
+        values, dict(zip(names, point)), "g", env, moving
+    )
+    rows = [  # the terms of each component, without those of a zero velocity
+        [(j, nu, mu) for j, (r, nu, mu) in enumerate(entries)
+         if r == rho and factors[nu] is not None]
         for rho in range(m)
     ]
-    at = [  # the point, the velocity and the Gamma entries at time s
-        *along,
-        f"if not ({kernel.box_test(point, bounds)}):",
-        "    raise _outside(s)",
-        *coefficients,
-    ]
+
+    def check(inside):  # the box test of the point coordinates ``inside`` keeps
+        kept = [(p, bound) for p, bound in zip(point, bounds) if inside(p)]
+        if not kept:
+            return []
+        return [f"if not ({kernel.box_test(*zip(*kept))}):", "    raise _outside(s)"]
+
+    at = [*along, *check(lambda p: True), *coefficients]
+    each = [*moving_along, *check(moving.__contains__), *moving_coefficients]
 
     def stage(X, k):
         # -(0.0 + g X v + ...) per component, summed in the order of ``entries``
         sums = (
-            "".join(f" + {g[j]} * {X[base + mu]} * {velocity[nu]}" for j, nu, mu in row)
+            "".join(f" + {g[j]} * {X[base + mu]}{factors[nu]}" for j, nu, mu in row)
             for base in range(0, width, m)
             for row in rows
         )
         return [f"{out} = -(0.0{terms})" for out, terms in zip(k, sums)]
 
-    return kernel.compile_rk4(width, stage, env, at)
+    return kernel.compile_rk4(width, stage, env, at, each)
 
 
 def _gamma(gamma):
@@ -197,8 +219,11 @@ def parallel_transport(
     (T - t0)/steps."""
     if len(u0) != mc.m:
         raise ChartError(f"initial vector needs {mc.m} components")
+    u0 = [float(v) for v in u0]
+    if not all(map(math.isfinite, u0)):
+        raise ChartError("initial vector must be finite")
     record = []
-    h, final = _transport(mc, curve, [float(v) for v in u0], steps, record)
+    h, final = _transport(mc, curve, u0, steps, record)
     return TransportResult(record, tuple(final), h)
 
 
@@ -221,16 +246,27 @@ def horizontal_lift_vector(mc: ManifoldConnection, p, u, v):
     m = mc.m
     if len(p) != m or len(u) != m or len(v) != m:
         raise ChartError("point and vectors need m components each")
+    if not all(map(math.isfinite, [*u, *v])):
+        raise ChartError("vectors must be finite")
     for name, value in zip(mc.coordinate_names, p):
         low, high = mc.bounds(name)
         if not (low <= value <= high):
             raise OutsideChartError(f"point outside the chart box: {name}={value}")
-    entries, values = _gamma(mc.gamma)
-    gamma = ex.compile_exprs(values, mc.coordinate_names)
+    names, gamma = _key(mc)
+    entries, values_at = _lift(names, gamma, repr(gamma))
     totals = [0.0] * m
-    for (rho, nu, mu), value in zip(entries, gamma(*map(float, p))):
+    for (rho, nu, mu), value in zip(entries, values_at(*map(float, p))):
         totals[rho] += value * u[mu] * v[nu]
     return list(v) + [-total for total in totals]
+
+
+@lru_cache(maxsize=kernel.CACHED)
+def _lift(names, gamma, exact):
+    """The indices of the nonzero Gamma entries, as :func:`_gamma` gives
+    them, and one compiled function of their values at a point.  ``exact``
+    (the table's repr) tells Const(-0.0) from Const(0.0) in the key."""
+    entries, values = _gamma(gamma)
+    return entries, ex.compile_exprs(values, names)
 
 
 def hv_project_tm(mc: ManifoldConnection, base_components, fiber_components):

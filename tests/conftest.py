@@ -27,6 +27,7 @@ def cold_kernels():
     """Empty the caches of compiled RK4 loops, so that what a test compiles
     does not depend on the tests that ran before it."""
     transport._loop.cache_clear()
+    transport._lift.cache_clear()
     connection._sweep.cache_clear()
 
 

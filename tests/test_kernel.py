@@ -505,6 +505,107 @@ class TestAgainstReference:
         assert ascending != got  # curved: the order matters
 
 
+class TestMovingGeometry:
+    """The loop evaluates, at each new time, only the geometry that moves
+    with the time: the rest runs once at the start, and the box test keeps
+    the moving coordinates.  Terms with a zero velocity component are left
+    out, as zero Gamma entries are, and a unit velocity factor is dropped."""
+
+    @pytest.fixture
+    def sources(self, monkeypatch):  # the loop source of each compiled RK4 loop
+        loops = []
+        define = kernel.define
+
+        def recording(head, lines, env):
+            if head.startswith("_rk4("):
+                loops.append("\n".join(lines).partition("for _ in range(steps):\n")[2])
+            return define(head, lines, env)
+
+        monkeypatch.setattr(kernel, "define", recording)
+        return loops
+
+    def test_latitude_loop_is_free_of_geometry(self, sphere, sources):
+        mc, curve = sphere.manifold_connections["levi_civita"], sphere.curves["lat60"]
+        holonomy(mc, curve, 10)
+        parallel_transport(mc, curve, [1.0, 0.0], 10)
+        assert len(sources) == 2
+        for loop in sources:
+            assert loop and "_sin(" not in loop and "_cos(" not in loop
+            assert "(1.0471975511965976)" not in loop  # the fixed th has no box test
+            assert "* (1.0)" not in loop
+
+    def test_meridian_loop_has_no_zero_velocity(self, sphere, sources):
+        mc, curve = sphere.manifold_connections["levi_civita"], sphere.curves["meridian_arc"]
+        parallel_transport(mc, curve, [1.0, 0.0], 10)
+        (loop,) = sources
+        assert "* (0.0)" not in loop and "* (0.5)" in loop
+        assert "_sin(" in loop  # th moves
+        assert "(0.25)" not in loop  # the fixed ph has no box test
+
+    @pytest.mark.parametrize("steps", [1, 2, 37])
+    @pytest.mark.parametrize(
+        "dim, seed, components",
+        [
+            (2, 621, ("0.4", "0.5 * sin(t)")),
+            (2, 622, ("t", "-0.3")),
+            (2, 623, ("0.0", "-0.0")),  # nothing moves: no box test in the loop
+            (3, 624, ("0.5 * cos(t)", "-0.2", "0.3 * sin(2 * t)")),
+            (3, 625, ("-0.1", "t - 0.5", "0.25")),
+        ],
+    )
+    def test_constant_components(self, dim, seed, components, steps):
+        mc = random_symmetric_manifold_connection(random.Random(seed), dim)
+        curve = Curve(mc.coordinate_names, tuple(map(ex.parse, components)), (0.0, TAU))
+        for u0 in ([0.3, -1.1, 0.7][:dim], [-0.0, 2.0, -0.5][:dim]):  # cold, then warm
+            result = parallel_transport(mc, curve, u0, steps)
+            _same_bits((result.times, result.vectors), reference_transport(mc, curve, u0, steps))
+        closed = dataclasses.replace(curve, periods={mc.coordinate_names[0]: TAU})
+        if closed.is_closed():
+            _same_bits(holonomy(mc, closed, steps), reference_holonomy(mc, closed, steps))
+
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (0.5, 1.5)])
+    @pytest.mark.parametrize("th", ["3.2", "0.005", "-1.0"])
+    def test_constant_component_outside_box(self, th, domain):
+        mc = sphere_connection()
+        for ph in ("t", "0.3"):
+            curve = Curve(("th", "ph"), (ex.parse(th), ex.parse(ph)), domain)
+            text = _error_text(lambda: parallel_transport(mc, curve, [1.0, 0.0], 10))
+            assert text == _error_text(lambda: reference_transport(mc, curve, [1.0, 0.0], 10))
+            assert text == f"curve leaves the chart box at t={domain[0]}"
+
+    @pytest.mark.parametrize("ph", ["0.7", "t"])
+    def test_moving_coordinate_leaves_box(self, ph):
+        # th = 3 + 0.3 t is inside th <= 3.13 at t = 0.4 and outside at 0.45
+        mc = sphere_connection()
+        curve = Curve(("th", "ph"), (ex.parse("3.0 + 0.3 * t"), ex.parse(ph)))
+        for steps in (10, 20):  # the warm loop reports its own call's t
+            text = _error_text(lambda: parallel_transport(mc, curve, [1.0, 0.0], steps))
+            assert text == _error_text(lambda: reference_transport(mc, curve, [1.0, 0.0], steps))
+            assert 0.4 < float(text.split("t=")[1]) < 0.5
+
+    @pytest.mark.parametrize(
+        "gamma, components",
+        [
+            ("log(x2)", ("t", "-1.0")),  # a fixed entry, out of domain from the start
+            ("x1 * log(x2)", ("t", "0.0")),
+            ("exp(800 * x2) + x1", ("0.5 * t", "1.0")),
+            ("log(x1) + log(x2)", ("t + 1", "-2.0")),  # the fixed x2 fails first
+            ("log(x1) + x2", ("1 - 2 * t", "3.0")),  # the moving x1 fails mid-run
+            ("x1 * x2", ("t", "log(0.5 - 1.0)")),  # a fixed curve component
+        ],
+    )
+    def test_fixed_domain_errors(self, gamma, components):
+        zero = ex.ZERO
+        entry = _tree(gamma)
+        table = (((entry, zero), (zero, entry)), ((zero, zero), (entry, zero)))
+        mc = ManifoldConnection(("x1", "x2"), table)
+        curve = Curve(("x1", "x2"), tuple(map(_tree, components)), (0.0, 1.0))
+        for steps in (10, 11):  # cold, then warm
+            text = _domain_error_text(lambda: parallel_transport(mc, curve, [1.0, 0.5], steps))
+            assert text == _first_domain_error(mc, curve, steps)
+            assert text == _domain_error_text(lambda: reference_transport(mc, curve, [1.0, 0.5], steps))
+
+
 def reference_lift(mc, p, u, v):
     bindings = dict(zip(mc.coordinate_names, p))
     vertical = []
@@ -530,6 +631,36 @@ class TestHorizontalLift:
         mc = sphere_connection()
         for p, u, v in [([1.0, 0.2], [1.0, 0.0], [0.0, 1.0]), ([0.5, 0.0], [-0.0, 2.0], [0.3, -0.0])]:
             _same_bits(horizontal_lift_vector(mc, p, u, v), reference_lift(mc, p, u, v))
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        count = []
+        define = kernel.define
+
+        def counting(*args):
+            count.append(1)
+            return define(*args)
+
+        monkeypatch.setattr(kernel, "define", counting)
+        return count
+
+    def test_one_compile_per_geometry(self, sphere, kernels):
+        mc = sphere.manifold_connections["levi_civita"]
+        horizontal_lift_vector(mc, [1.0, 0.2], [1.0, 0.0], [0.0, 1.0])
+        assert len(kernels) == 1
+        for p, u, v in [([0.5, 0.0], [-0.0, 2.0], [0.3, -0.0]), ([2.0, 1.0], [1.0, 1.0], [1.0, 1.0])]:
+            _same_bits(horizontal_lift_vector(mc, p, u, v), reference_lift(mc, p, u, v))
+        assert len(kernels) == 1
+        horizontal_lift_vector(sphere.manifold_connections["twisted"], [1.0, 0.2], [1.0, 0.0], [0.0, 1.0])
+        assert len(kernels) == 2
+
+    def test_signed_zero_tables_compile_apart(self, kernels):
+        # Const(0.0) == Const(-0.0), but their products differ in sign
+        for z in (0.0, -0.0, 0.0, -0.0):
+            entry = ex.Prod((ex.Const(z), ex.Var("x1")))
+            mc = ManifoldConnection(("x1",), (((entry,),),))
+            _same_bits(horizontal_lift_vector(mc, [0.5], [1.0], [1.0]), reference_lift(mc, [0.5], [1.0], [1.0]))
+        assert len(kernels) == 2
 
 
 class TestCompileCounts:

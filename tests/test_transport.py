@@ -141,6 +141,37 @@ class TestParallelTransport:
         with pytest.raises(ChartError):
             parallel_transport(flat_connection(), good, [1.0, 0.0], steps=0)
 
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            (10.5, "steps: expected an integer, got 10.5"),
+            (True, "steps: expected a number, got True"),
+            (math.inf, "steps: expected a number, got inf"),
+            (None, "steps: expected a number, got None"),
+        ],
+    )
+    def test_steps_must_be_an_integer(self, steps, message):
+        good = Curve(("x1", "x2"), (ex.parse("t"), ex.ZERO))
+        loop = Curve(("x1", "x2"), (ex.parse("cos(t)"), ex.parse("sin(t)")), (0.0, TAU))
+        for call in (lambda: parallel_transport(flat_connection(), good, [1.0, 0.0], steps),
+                     lambda: holonomy(flat_connection(), loop, steps)):
+            with pytest.raises(ChartError) as caught:
+                call()
+            assert str(caught.value) == message
+
+    def test_integral_float_steps(self):
+        # as in model files, 2.0 is the integer 2
+        good = Curve(("x1", "x2"), (ex.parse("t"), ex.ZERO))
+        result = parallel_transport(flat_connection(), good, [1.0, 0.0], 2.0)
+        assert result.times == (0.0, 0.5, 1.0)
+        assert result.vectors == parallel_transport(flat_connection(), good, [1.0, 0.0], 2).vectors
+
+    @pytest.mark.parametrize("u0", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0]])
+    def test_refuses_non_finite_vector(self, u0):
+        good = Curve(("x1", "x2"), (ex.parse("t"), ex.ZERO))
+        with pytest.raises(ChartError, match="^initial vector must be finite$"):
+            parallel_transport(flat_connection(), good, u0, 10)
+
 
 class TestHolonomy:
     def test_requires_closed_curve(self):
@@ -205,6 +236,14 @@ class TestLifts:
     def test_box_enforced(self):
         with pytest.raises(OutsideChartError):
             horizontal_lift_vector(sphere_connection(), [5.0, 0.0], [1.0, 0.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [([math.nan, 0.0], [1.0, 0.0]), ([1.0, 0.0], [0.0, math.inf]), ([-math.inf, 0.0], [math.nan, 1.0])],
+    )
+    def test_refuses_non_finite_vectors(self, u, v):
+        with pytest.raises(ChartError, match="^vectors must be finite$"):
+            horizontal_lift_vector(sphere_connection(), [1.0, 0.0], u, v)
 
     def test_splitting_reassembles(self):
         mc = random_symmetric_manifold_connection(random.Random(8), 2)
