@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import expr as ex
 from . import kernel
-from .bundle import BundleChart, Section, check_table
+from .bundle import BundleChart, Section, check_number, check_table
 from .errors import ChartError, NotIntegrableError, OutsideChartError
 
 __all__ = [
@@ -315,8 +315,9 @@ def integral_section(
         raise ChartError("start point has wrong dimensions")
     if not all(map(math.isfinite, [*x0, *y0])):
         raise ChartError("start point must be finite")
-    if steps < 1:
-        raise ChartError("steps must be at least 1")
+    steps = check_number(steps, "steps", float)
+    if not 1.0 <= steps < math.inf:
+        raise ChartError("steps must be at least 1 and finite")
     if check_integrable and not is_integrable(connection, probe):
         raise NotIntegrableError(
             "connection has nonzero curvature; integral sections do not exist"

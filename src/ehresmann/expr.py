@@ -427,7 +427,7 @@ def _evaluate_scaled(e, names):
     :class:`DomainError` where either is not finite."""
     env, operands = {}, {name: f"a{k}" for k, name in enumerate(names)}
     lines, (result,), sizes, _ = _generate([e], operands, "v", env)
-    largest = sizes[0] if len(sizes) == 1 else f"max({', '.join(sizes)})"
+    largest = f"max(map(abs, ({', '.join(sizes)},)))"
     scaled = _define(env, operands.values(), lines, f"{result}, {largest}")
 
     def at(bindings):
@@ -455,7 +455,7 @@ def _generate(exprs, operands, prefix, env, moving=frozenset()):
     local named ``prefix`` and a number, and the evaluation functions and
     non-finite constants are globals added to ``env``; several calls may
     share one ``env`` with distinct prefixes.  Returns (lines, the operand
-    holding each expression's value, the operands whose maximum is the
+    holding each expression's value, the operands whose maximum |v| is the
     largest |v| over all nodes, the moving lines).  Every distinct operation
     is one line, so a subtree that occurs twice is evaluated once; a line
     that can leave the reals carries its message as a :data:`kernel.TAG`.
@@ -465,7 +465,7 @@ def _generate(exprs, operands, prefix, env, moving=frozenset()):
     env.update(_sin=math.sin, _cos=math.cos, _exp=math.exp, _log=math.log, _power=_power)
     lines, moved = [], []
     atoms = {}  # operation on operands -> variable holding its value
-    sizes = {}  # |v| of each variable and operation, as operands of max()
+    sizes = {}  # each variable and operation whose |v| enters the scale
     constants = [0.0]  # |c| of each constant, inf for a non-finite one
 
     def bind(value):
@@ -484,7 +484,7 @@ def _generate(exprs, operands, prefix, env, moving=frozenset()):
         if isinstance(e, Var):
             if e.name not in operands:
                 raise EvaluationError(f"unbound variable {e.name!r}")
-            sizes[f"abs({operands[e.name]})"] = True
+            sizes[operands[e.name]] = True
             return operands[e.name]
         if isinstance(e, Sum):
             key = ("+",) + tuple(emit(t) for t in e.terms)
@@ -508,7 +508,7 @@ def _generate(exprs, operands, prefix, env, moving=frozenset()):
                 moving.add(v)
                 moved.extend(statements)
             if key[0] != "-":  # a negation has its operand's size
-                sizes[f"abs({v})"] = True
+                sizes[v] = True
         return atoms[key]
 
     results = [emit(e) for e in exprs]
@@ -645,7 +645,9 @@ def _sum_of(terms):
 
 
 def substitute(e: Expr, mapping) -> Expr:
-    """Replace variables by expressions; ``mapping`` is name -> Expr/number."""
+    """Replace variables by expressions; ``mapping`` is name -> Expr/number.
+    A subtree that holds no replaced variable is returned as it is, so the
+    normal form :func:`normalize` remembered on it is kept."""
     if isinstance(e, Const):
         return e
     if isinstance(e, Var):
@@ -653,15 +655,18 @@ def substitute(e: Expr, mapping) -> Expr:
             return _coerce(mapping[e.name])
         return e
     if isinstance(e, Sum):
-        return Sum(tuple(substitute(t, mapping) for t in e.terms))
+        return _rebuild(Sum, [substitute(t, mapping) for t in e.terms], e, e.terms)
     if isinstance(e, Prod):
-        return Prod(tuple(substitute(f, mapping) for f in e.factors))
+        return _rebuild(Prod, [substitute(f, mapping) for f in e.factors], e, e.factors)
     if isinstance(e, Pow):
-        return Pow(substitute(e.base, mapping), e.exponent)
+        base = substitute(e.base, mapping)
+        return e if base is e.base else Pow(base, e.exponent)
     if isinstance(e, Neg):
-        return Neg(substitute(e.arg, mapping))
+        arg = substitute(e.arg, mapping)
+        return e if arg is e.arg else Neg(arg)
     if isinstance(e, Call):
-        return Call(e.func, substitute(e.arg, mapping))
+        arg = substitute(e.arg, mapping)
+        return e if arg is e.arg else Call(e.func, arg)
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -1,8 +1,8 @@
 """Linear connections on vector bundles and connections on manifolds.
 
-Linearity of a connection means degree-1 homogeneity of its coefficients in
-the fiber coordinates; for such connections the coefficients are generated
-by base-only Christoffel symbols, Gamma^i_mu = -Gamma^i_{j mu} y^j.  On a
+Linearity of a connection means that its coefficients are linear in the
+fiber coordinates, generated by base-only Christoffel symbols,
+Gamma^i_mu = -Gamma^i_{j mu}(x) y^j.  On a
 manifold the relevant bundle is the tangent bundle, with coefficients
 Gamma^rho_{mu nu}(x) (direction first, transported index second).
 """
@@ -125,45 +125,84 @@ def _scale_name(chart):
     return name
 
 
-def is_linear(connection: EhresmannConnection, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:
-    """Degree-1 homogeneity in the fiber coordinates, tested symbolically
-    with an auxiliary scale variable: Gamma(x, t y) - t Gamma(x, y) must
-    vanish identically."""
+def _entire_in(e, fibers):
+    """Whether every subtree of ``e`` that holds a name in ``fibers`` is a
+    sum, product, negation, variable, power with a natural exponent, or
+    sin/cos/exp of such subtrees.  Such an ``e`` is smooth in the fibers on
+    all of R^n wherever its fiber-free subtrees are defined."""
+    if isinstance(e, ex.Sum):
+        return all(_entire_in(term, fibers) for term in e.terms)
+    if isinstance(e, ex.Prod):
+        return all(_entire_in(factor, fibers) for factor in e.factors)
+    if isinstance(e, ex.Neg):
+        return _entire_in(e.arg, fibers)
+    if isinstance(e, ex.Pow) and e.exponent >= 0.0 and float(e.exponent).is_integer():
+        return _entire_in(e.base, fibers)
+    if isinstance(e, ex.Call) and e.func in ("sin", "cos", "exp"):
+        return _entire_in(e.arg, fibers)
+    # a log or another power is entire only where it is fiber-free
+    return isinstance(e, (ex.Const, ex.Var)) or ex.free_variables(e).isdisjoint(fibers)
+
+
+def _symbols(connection, probe):
+    """The table -d Gamma^i_mu / dy^j as [i][j][mu], or None when the
+    connection is not linear on the fibers.
+
+    An entry that :func:`_entire_in` accepts is linear iff Gamma(x, 0) = 0
+    and every first fiber partial is fiber-free; a partial that still names
+    a fiber coordinate is probed through its own fiber partials, and is
+    then replaced by its value at y = 0.  Any other entry, such as
+    (y1^2)^0.5 = |y1|, keeps the scaling test Gamma(x, t y) = t Gamma(x, y)
+    with an auxiliary scale variable t, and its partials are probed the
+    same way."""
     chart = connection.chart
+    fibers = chart.fiber_names
+    origin = {name: ex.ZERO for name in fibers}
     t = ex.Var(_scale_name(chart))
-    scaling = {name: t * ex.Var(name) for name in chart.fiber_names}
-    return all(
-        ex.is_zero(ex.substitute(entry, scaling) - t * entry, probe)
-        for row in connection.gamma
-        for entry in row
-    )
+    scaling = {name: t * ex.Var(name) for name in fibers}
+    table = [[[None] * chart.m for _ in fibers] for _ in fibers]
+    for i, row in enumerate(connection.gamma):
+        for mu, entry in enumerate(row):
+            entire = _entire_in(entry, fibers)
+            if entire:
+                vanishes = ex.is_zero(ex.substitute(entry, origin), probe)
+            else:
+                vanishes = ex.is_zero(ex.substitute(entry, scaling) - t * entry, probe)
+            if not vanishes:
+                return None
+            for j, y in enumerate(fibers):
+                symbol = ex.normalize(ex.Neg(ex.differentiate(entry, y)))
+                free = ex.free_variables(symbol)
+                left = [name for name in fibers if name in free]
+                if not all(ex.is_zero(ex.differentiate(symbol, name), probe) for name in left):
+                    return None
+                if left and entire:
+                    symbol = ex.normalize(ex.substitute(symbol, origin))
+                table[i][j][mu] = symbol
+    return tuple(tuple(map(tuple, plane)) for plane in table)
+
+
+def is_linear(connection: EhresmannConnection, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:
+    """Whether the coefficients are linear on the fibers,
+    Gamma^i_mu = -Gamma^i_{j mu}(x) y^j: Gamma(x, 0) = 0 and every
+    d Gamma / dy^j fiber-free, decided structurally where it can be and by
+    probing otherwise.  An entry with a negative or fractional power or a
+    log of a fiber-dependent subtree, which need not be smooth at y = 0,
+    takes the scaling test Gamma(x, t y) = t Gamma(x, y) in place of
+    Gamma(x, 0) = 0."""
+    return _symbols(connection, probe) is not None
 
 
 def christoffels(
     connection: EhresmannConnection, probe: ex.ProbeConfig = ex.DEFAULT_PROBE
 ) -> Christoffel:
     """Extract Gamma^i_{j mu} = -d Gamma^i_mu / dy^j from a linear
-    connection; refuses nonlinear input."""
-    chart = connection.chart
-    if not is_linear(connection, probe):
+    connection, in the same pass over the fiber partials that decides
+    :func:`is_linear`; refuses nonlinear input."""
+    table = _symbols(connection, probe)
+    if table is None:
         raise NotLinearError("connection coefficients are not linear on the fibers")
-    table = []
-    for i in range(chart.n):
-        plane = []
-        for j, y in enumerate(chart.fiber_names):
-            row = []
-            for mu in range(chart.m):
-                symbol = ex.normalize(ex.Neg(ex.differentiate(connection.gamma[i][mu], y)))
-                if not all(
-                    ex.is_zero(ex.differentiate(symbol, other), probe) for other in chart.fiber_names
-                ):
-                    raise NotLinearError(
-                        f"extracted symbol [{i + 1}][{j + 1}][{mu + 1}] still depends on the fiber"
-                    )
-                row.append(symbol)
-            plane.append(tuple(row))
-        table.append(tuple(plane))
-    return Christoffel(chart, tuple(table))
+    return Christoffel(connection.chart, table)
 
 
 def linear_to_ehresmann(symbols: Christoffel) -> EhresmannConnection:

@@ -309,6 +309,32 @@ class TestIntegralSection:
         with pytest.raises(ChartError, match="steps must be at least 1"):
             integral_section(conn, [0.0], [1.0], [[1.0]], steps=steps)
 
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            (True, "steps: expected a number, got True"),
+            (None, "steps: expected a number, got None"),
+            (math.nan, "steps must be at least 1 and finite"),
+            (math.inf, "steps must be at least 1 and finite"),
+        ],
+    )
+    @pytest.mark.parametrize("target", [[0.0], [1.0]])
+    def test_steps_must_be_a_finite_number(self, steps, message, target):
+        # refused up front, also where the target is the start and no step runs
+        conn = _connection(1, 1, [["y1"]])
+        with pytest.raises(ChartError) as caught:
+            integral_section(conn, [0.0], [1.0], [target], steps=steps)
+        assert str(caught.value) == message
+
+    def test_float_steps_are_a_density(self):
+        # 2.5 steps per unit over 2 units: five RK4 steps of 0.4 on f' = f
+        conn = _connection(1, 1, [["y1"]])
+        [[value]] = integral_section(conn, [0.0], [1.0], [[2.0]], steps=2.5)
+        h = 0.4
+        assert value == pytest.approx((1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24) ** 5, rel=1e-12)
+        [[value]] = integral_section(conn, [0.0], [1.0], [[0.5]], steps=1000.0)
+        assert value == pytest.approx(math.exp(0.5), rel=1e-10)
+
     def test_far_target_rejected(self):
         # 1e308 units at 1000 steps per unit is no finite step count
         conn = _connection(2, 1, [["0", "0"]])

@@ -240,6 +240,14 @@ class TestSubstituteNormalize:
         result = ex.substitute(e, {"x": ex.ZERO})
         assert ex.free_variables(result) == frozenset({"z"})
 
+    def test_substitute_keeps_untouched_subtrees(self):
+        # with the normal forms remembered on them
+        e = ex.parse("sin(x) * z + y^2")
+        result = ex.substitute(e, {"y": ex.ZERO})
+        assert result.terms[0] is e.terms[0]
+        assert result.terms[1] == ex.Pow(ex.ZERO, 2.0)
+        assert ex.substitute(e, {"w": ex.ONE}) is e
+
     @pytest.mark.parametrize(
         "source",
         ["x - x", "0 * sin(x)", "x * y - y * x", "(x + y) - x - y", "2 * x - x - x"],
@@ -433,6 +441,19 @@ def test_product_rule(a, b):
     assert _vanishes(lhs - rhs)
 
 
+def _copy(e):
+    """A fresh copy of every node, so no normal form is remembered on it."""
+    if isinstance(e, ex.Sum):
+        return ex.Sum(tuple(map(_copy, e.terms)))
+    if isinstance(e, ex.Prod):
+        return ex.Prod(tuple(map(_copy, e.factors)))
+    if isinstance(e, ex.Pow):
+        return ex.Pow(_copy(e.base), e.exponent)
+    if isinstance(e, (ex.Neg, ex.Call)):
+        return dataclasses.replace(e, arg=_copy(e.arg))
+    return e  # a constant or a variable remembers no normal form
+
+
 def _diff_trees():
     """Trees over x, y and z with the constants 0.0 and -0.0, fractional
     exponents, ^0, ^1 and log.  ``st.recursive`` nests at most four levels
@@ -464,7 +485,7 @@ def _diff_trees():
 def test_sparse_derivative_equals_dense(e, name):
     """``differentiate`` builds no product-rule term for a factor free of
     the variable; its result is the dense rule's, normalized."""
-    dense = ex.normalize(dense_diff.diff(ex.substitute(e, {}), name))
+    dense = ex.normalize(dense_diff.diff(_copy(e), name))
     assert repr(ex.differentiate(e, name)) == repr(dense)
     assert ex.differentiate(e, "w") is ex.ZERO
 
@@ -488,7 +509,7 @@ _X, _Y = ex.Var("x"), ex.Var("y")
 def test_normalize_idempotent(e):
     once = ex.normalize(e)
     # a fresh copy, so the normal form remembered on ``once`` cannot answer
-    assert repr(ex.normalize(ex.substitute(once, {}))) == repr(once)
+    assert repr(ex.normalize(_copy(once))) == repr(once)
 
 
 def _subtrees(e):
@@ -503,8 +524,8 @@ def _subtrees(e):
 @settings(max_examples=40, deadline=None)
 @given(e=_trees(), seed=st.integers(0, 2**16))
 def test_normalize_cold_equals_warm(e, seed):
-    cold = ex.normalize(ex.substitute(e, {}))
-    warm = ex.substitute(e, {})
+    cold = ex.normalize(_copy(e))
+    warm = _copy(e)
     nodes = list(_subtrees(warm))
     random.Random(seed).shuffle(nodes)
     for node in nodes:

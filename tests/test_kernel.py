@@ -21,7 +21,7 @@ from ehresmann.bundle import BundleChart
 from ehresmann.connection import EhresmannConnection, integral_section
 from ehresmann.errors import DomainError, EvaluationError, OutsideChartError
 from ehresmann.expr import compile_exprs
-from ehresmann.linear import ManifoldConnection
+from ehresmann.linear import ManifoldConnection, christoffels, is_linear
 from ehresmann.model import load
 from ehresmann.multivector import representative, same_class
 from ehresmann.transport import Curve, holonomy, horizontal_lift_vector, parallel_transport
@@ -137,6 +137,25 @@ class TestCompileExprs:
         e = ex.Sum(tuple(ex.Prod((ex.Const(k / 7.0), ex.Var("x"))) for k in range(3000)))
         assert compile_exprs([e], ["x"])(0.3) == [tree_walker.evaluate(e, {"x": 0.3})]
         assert ex._evaluate_scaled(e, ["x"])({"x": 0.3}) == tree_walker.probe_value(e, {"x": 0.3})
+
+    def test_scale_line_calls_abs_once(self, monkeypatch):
+        # max(map(abs, (top, a0, v0, ...))): one abs call per probe kernel
+        bodies = []
+        define = kernel.define
+
+        def recording(head, lines, env):
+            bodies.append(lines)
+            return define(head, lines, env)
+
+        monkeypatch.setattr(kernel, "define", recording)
+        e = ex.parse("sin(x) * y - x^2 + 3")
+        at = ex._evaluate_scaled(e, ["x", "y"])
+        (lines,) = bodies
+        # the largest constant first, then every variable and operation but
+        # the negation v3, which has its operand's size
+        assert lines[-1] == "return v4, max(map(abs, (3.0, a0, v0, a1, v1, v2, v4,)))"
+        assert sum(line.count("abs") for line in lines) == 1
+        assert at({"x": 0.3, "y": -1.5}) == tree_walker.probe_value(e, {"x": 0.3, "y": -1.5})
 
     def test_unbound_variable_at_compile_time(self):
         with pytest.raises(EvaluationError):
@@ -712,6 +731,15 @@ class TestCompileCounts:
         assert same_class(flat, flat) and not same_class(flat, curved)
         assert len(compiles) == 2
 
+
+    def test_polynomial_fibers_decide_linearity_structurally(self, kernels):
+        # Gamma(x, 0) folds to 0 and every fiber partial is fiber-free
+        rows = [["-(sin(x1)*y1 + x2*y2)", "-x1*y2"], ["-y1", "-(x1*x2*y1 + cos(x2)*y2)"]]
+        chart = BundleChart.standard(2, 2)
+        conn = EhresmannConnection(chart, tuple(tuple(map(ex.parse, row)) for row in rows))
+        assert is_linear(conn)
+        assert christoffels(conn).gamma[0][0] == (ex.parse("sin(x1)"), ex.ZERO)
+        assert kernels == []
 
     def test_one_compile_per_closure_check(self, compiles):
         assert load(SPHERE).curves["lat60"].is_closed()

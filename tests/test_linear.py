@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehresmann import expr as ex
 from ehresmann.bundle import BundleChart, Section
@@ -24,6 +25,7 @@ from ehresmann.linear import (
     liouville_field,
     torsion,
 )
+from ehresmann.linear import _entire_in
 from ehresmann.model import load
 
 from conftest import PLANE, random_polynomial, random_symmetric_manifold_connection
@@ -73,6 +75,72 @@ class TestIsLinear:
     def test_zero_is_linear(self):
         assert is_linear(EhresmannConnection.flat(BundleChart.standard(2, 2)))
 
+    @pytest.mark.parametrize(
+        "source, linear, entire",
+        [
+            ("(y1^2)^0.5", False, False),  # |y1|: only t < 0 in the scaling test rejects it
+            ("(y1^2 + 1)^0.5 * y1", False, False),
+            ("y1^2 * (y1 + 0 * x1)^-1", True, False),
+            ("sin(y1)", False, True),
+            ("y1 * log(y1^2 + 1)", False, False),
+            ("log(x1^2 + 1) * y1", True, True),  # a log of the base alone is entire
+        ],
+    )
+    def test_verdicts(self, source, linear, entire):
+        # entire: decided by Gamma(x, 0) = 0 and fiber-free partials; else
+        # the scaling test is kept
+        conn = _connection(1, 1, [[source]])
+        assert _entire_in(conn.gamma[0][0], conn.chart.fiber_names) is entire
+        assert is_linear(conn) is linear
+        if not linear:
+            with pytest.raises(NotLinearError):
+                christoffels(conn)
+
+    def test_homogeneous_but_not_linear(self):
+        # degree-1 homogeneous for every t, but not of the form -C(x) y
+        conn = _connection(1, 2, [["y1^3 / (y1^2 + y2^2)"], ["0"]])
+        assert not is_linear(conn)
+        with pytest.raises(NotLinearError):
+            christoffels(conn)
+
+
+def _scales(conn):
+    """The scaling test: Gamma(x, t y) - t Gamma(x, y) vanishes."""
+    t = ex.Var("t")
+    scaling = {y: t * ex.Var(y) for y in conn.chart.fiber_names}
+    return all(ex.is_zero(ex.substitute(e, scaling) - t * e) for row in conn.gamma for e in row)
+
+
+_COEFFICIENTS = ("0", "-2", "x1", "sin(x2)", "(x1^2 + 1)^0.5", "log(x2^2 + 2)",
+                 "exp(0.3 * x1) - x2", "x1 * x2^-1")
+
+
+@st.composite
+def _fiber_polynomials(draw):
+    """Connections on a 2 x n chart with entries sum_j c_j(x) y^j, one of
+    them perhaps perturbed by c(x) y_k^2."""
+    n = draw(st.integers(1, 2))
+    coefficient = st.sampled_from(_COEFFICIENTS)
+    rows = [
+        [" + ".join(f"({draw(coefficient)}) * y{j}" for j in range(1, n + 1)) for _ in range(2)]
+        for _ in range(n)
+    ]
+    if draw(st.booleans()):
+        i, mu, k = draw(st.integers(0, n - 1)), draw(st.integers(0, 1)), draw(st.integers(1, n))
+        rows[i][mu] += f" + ({draw(coefficient)}) * y{k}^2"
+    return _connection(2, n, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conn=_fiber_polynomials())
+def test_agrees_with_the_scaling_test(conn):
+    linear = is_linear(conn)
+    assert linear == _scales(conn)
+    if linear:
+        rebuilt = linear_to_ehresmann(christoffels(conn))
+        for a, b in zip(conn.gamma, rebuilt.gamma):
+            assert all(ex.is_zero(p - q) for p, q in zip(a, b))
+
 
 class TestChristoffels:
     def test_example_extraction(self):
@@ -97,6 +165,13 @@ class TestChristoffels:
     def test_nonlinear_refused(self):
         with pytest.raises(NotLinearError):
             christoffels(_connection(2, 1, [["y1^2", "0"]]))
+
+    def test_symbol_that_only_looks_fiber_dependent(self):
+        # -d/dy1 is -(sin(y1)^2 + cos(y1)^2): its fiber partial probes to
+        # zero, and its value at y1 = 0 folds to -1
+        conn = _connection(2, 1, [["y1 * (sin(y1)^2 + cos(y1)^2)", "0"]])
+        assert is_linear(conn)
+        assert christoffels(conn).gamma == (((ex.Const(-1.0), ex.ZERO),),)
 
     def test_base_only_enforced(self):
         chart = BundleChart.standard(1, 1)
