@@ -43,10 +43,6 @@ class EhresmannConnection:
         chart = self.chart
         check_table(self.gamma, (chart.n, chart.m), chart.coordinate_names, "Gamma")
 
-    def coefficient(self, i, mu):
-        """Gamma^i_mu with zero-based indices."""
-        return self.gamma[i][mu]
-
     @classmethod
     def flat(cls, chart):
         return cls(chart, tuple(tuple(ex.ZERO for _ in range(chart.m)) for _ in range(chart.n)))
@@ -267,26 +263,26 @@ def add_vertical(connection: EhresmannConnection, gamma_shift):
 def _sweep(names, bounds, column, axis, exact):
     """Compiled RK4 sweep ``run(s0, h, steps, fiber, *x)`` of the fiber
     values along the coordinate line of x[axis] from s0, holding the other
-    base coordinates ``x`` fixed, with slope the column Gamma^i_axis.  Every
-    stage point is checked against the box ``bounds``.  ``exact`` (the
-    column's repr) tells Const(-0.0) from Const(0.0) in the key."""
+    base coordinates ``x`` fixed, with slope the column Gamma^i_axis generated
+    into every stage.  The box ``bounds`` is checked for the fixed coordinates
+    before the first step, and for s and the fiber at every stage before its
+    Gamma.  ``exact`` (the column's repr) tells Const(-0.0) from Const(0.0)."""
     base = [f"b{mu}" for mu in range(len(names) - len(column))]
+    on_line = base[:axis] + ["s"] + base[axis + 1:]  # the base operands of a stage point
 
     def outside(*point):
         bindings = dict(zip(names, point))
         return OutsideChartError(f"integration left the chart box at {bindings}")
 
     def stage(fiber, k):
-        point = base[:axis] + ["s"] + base[axis + 1:] + fiber
-        args = ", ".join(point)
-        return [
-            f"if not ({kernel.box_test(point, bounds)}):",
-            f"    raise _outside({args})",
-            f"{', '.join(k)}, = _column({args})",
-        ]
+        point = on_line + fiber
+        lines, values, _, _ = ex._generate(column, dict(zip(names, point)), "g", env)
+        check = kernel.box_check(point, bounds, ["s", *fiber], ", ".join(point))
+        return [*check, *lines, *(f"{a} = {b}" for a, b in zip(k, values))]
 
-    env = {"_column": ex.compile_exprs(column, names), "_outside": outside}
-    return kernel.compile_rk4(len(column), stage, env, params=base)
+    env, start = {"_outside": outside}, on_line + [f"y{i}" for i in range(len(column))]
+    fixed = kernel.box_check(start, bounds, base, ", ".join(start))
+    return kernel.compile_rk4(len(column), stage, env, fixed, params=base)
 
 
 def integral_section(

@@ -4,16 +4,17 @@
 ``try``: a line that can leave the reals is tagged with its
 :class:`DomainError` message, which the one handler looks up by line number.
 ``compile_rk4`` is the package's only RK4: it generates one function that
-runs every step in a single frame, with the state, stages and per-time values
-(such as the transport geometry) in local variables; its callers keep up to
-:data:`CACHED` such loops per cache, each compiled once per geometry.
+runs every step in a single frame, with the state, the stages and the
+geometry (a transport's curve and Gamma, a sweep's Gamma column) in local
+variables, and chart-box tests from :func:`box_check`; its callers keep up
+to :data:`CACHED` such loops per cache, each compiled once per geometry.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
 
-__all__ = ["CACHED", "TAG", "box_test", "compile_rk4", "define"]
+__all__ = ["CACHED", "TAG", "box_check", "compile_rk4", "define"]
 
 TAG = "  #! "  # separates a line from the message of the error it can raise
 CACHED = 64  # compiled RK4 loops kept per cache, the least recently used dropped
@@ -49,12 +50,13 @@ def define(head, lines, env):
     return env[head.partition("(")[0]]
 
 
-def box_test(names, bounds):
-    """Source of a test that each operand in ``names`` lies in its bounds."""
-    return " and ".join(
-        f"{float(low)!r} <= {name} <= {float(high)!r}"
-        for name, (low, high) in zip(names, bounds)
+def box_check(point, bounds, kept, args):
+    """Lines raising ``_outside(args)`` unless each operand of ``point`` in
+    ``kept`` lies in its ``bounds``, pairs of floats; none when none is kept."""
+    tests = " and ".join(
+        f"{low!r} <= {p} <= {high!r}" for p, (low, high) in zip(point, bounds) if p in kept
     )
+    return [f"if not ({tests}):", f"    raise _outside({args})"] if tests else []
 
 
 def compile_rk4(size, stage, env, at=(), moving=(), params=()):
@@ -64,8 +66,8 @@ def compile_rk4(size, stage, env, at=(), moving=(), params=()):
     list by the time and the state values at the start and after every
     step.  ``stage(ys, ks)`` gives the lines that set the slopes ``ks`` from
     the states ``ys``, the time ``s`` and the ``params``.  The lines ``at``
-    set locals that depend on ``s`` alone; all of them run once, at s = t,
-    before the first step.  At each later time (t + h/2 for stages 2 and 3,
+    set or test values of ``s`` and the ``params``, all once, at s = t, before
+    the first step.  At each later time (t + h/2 for stages 2 and 3,
     t + h for stage 4 and the next step's stage 1; ``t += h`` is the same
     float as ``t + h``) only the lines ``moving`` run: the lines of ``at``
     whose values change with ``s``, and its checks cut down to what changes.

@@ -9,6 +9,7 @@ Gamma^rho_{mu nu}(x) (direction first, transported index second).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 from . import expr as ex
@@ -19,7 +20,7 @@ from .connection import (
     _Antisymmetric,
     integral_section_residual,
 )
-from .errors import ChartError, NotLinearError
+from .errors import ChartError, NotLinearError, UnprobeableError
 
 __all__ = [
     "Christoffel",
@@ -153,8 +154,8 @@ def _symbols(connection, probe):
     a fiber coordinate is probed through its own fiber partials, and is
     then replaced by its value at y = 0.  Any other entry, such as
     (y1^2)^0.5 = |y1|, keeps the scaling test Gamma(x, t y) = t Gamma(x, y)
-    with an auxiliary scale variable t, and its partials are probed the
-    same way."""
+    with an auxiliary scale variable t; its partials are probed the same
+    way, and replaced by their value at y = 0 where the two probe equal."""
     chart = connection.chart
     fibers = chart.fiber_names
     origin = {name: ex.ZERO for name in fibers}
@@ -176,8 +177,11 @@ def _symbols(connection, probe):
                 left = [name for name in fibers if name in free]
                 if not all(ex.is_zero(ex.differentiate(symbol, name), probe) for name in left):
                     return None
-                if left and entire:
-                    symbol = ex.normalize(ex.substitute(symbol, origin))
+                if left:
+                    at_origin = ex.normalize(ex.substitute(symbol, origin))
+                    with suppress(UnprobeableError):  # keeps fibers, which Christoffel refuses
+                        if entire or ex.is_zero(symbol - at_origin, probe):
+                            symbol = at_origin
                 table[i][j][mu] = symbol
     return tuple(tuple(map(tuple, plane)) for plane in table)
 

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 PARAMETER_NAME = "t"
+CLOSURE_TOL = 1e-12  # largest gap per component of a closed curve's ends
+LIFT_TOL = 1e-9  # relative disagreement allowed between the two covariant derivatives
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,15 @@ class Curve:
     def velocity_exprs(self):
         return tuple(ex.differentiate(comp, PARAMETER_NAME) for comp in self.components)
 
-    def is_closed(self, tol=1e-12):
+    def is_closed(self):
+        """Whether the ends meet to CLOSURE_TOL per component, modulo periods."""
         start, end = map(self.point, self.domain)
         for name, a, b in zip(self.coordinate_names, start, end):
             gap = abs(a - b)
             period = self.periods.get(name)
             if period:
                 gap = abs(gap - period * round(gap / period))
-            if gap > tol:
+            if gap > CLOSURE_TOL:
                 return False
         return True
 
@@ -175,14 +178,8 @@ def _loop(names, bounds, gamma, components, width, exact):
         for rho in range(m)
     ]
 
-    def check(inside):  # the box test of the point coordinates ``inside`` keeps
-        kept = [(p, bound) for p, bound in zip(point, bounds) if inside(p)]
-        if not kept:
-            return []
-        return [f"if not ({kernel.box_test(*zip(*kept))}):", "    raise _outside(s)"]
-
-    at = [*along, *check(lambda p: True), *coefficients]
-    each = [*moving_along, *check(moving.__contains__), *moving_coefficients]
+    at = [*along, *kernel.box_check(point, bounds, point, "s"), *coefficients]
+    each = [*moving_along, *kernel.box_check(point, bounds, moving, "s"), *moving_coefficients]
 
     def stage(X, k):
         # -(0.0 + g X v + ...) per component, summed in the order of ``entries``
@@ -230,7 +227,7 @@ def parallel_transport(
 def holonomy(mc: ManifoldConnection, curve: Curve, steps=10_000):
     """Matrix of the loop's parallel transport in the coordinate basis;
     column k is the transport of the k-th basis vector.  The curve must be
-    closed to 1e-12 per component.  The m basis vectors are transported
+    closed to CLOSURE_TOL per component.  The m basis vectors are transported
     together as one ODE of m * m values."""
     if not curve.is_closed():
         raise ChartError("holonomy requires a closed curve")
@@ -302,16 +299,16 @@ def complete_lift(mc: ManifoldConnection, Y):
     return tuple(Y), tuple(fiber)
 
 
-def covariant_via_complete_lift(mc: ManifoldConnection, X, Y, p, tol=1e-9):
+def covariant_via_complete_lift(mc: ManifoldConnection, X, Y, p):
     """Covariant derivative nabla_X Y at the base point p, computed as the
     vertical part of the complete lift of Y evaluated at the tangent-bundle
     point (p, X(p)), read back as a fiber vector.
 
     The result is cross-checked against the direct component formula,
     :func:`ehresmann.linear.covariant_derivative` of the Christoffel symbols;
-    a disagreement beyond ``tol`` raises.  The two routes coincide exactly
-    for torsion-free connections (they differ by the torsion contraction), so
-    a symmetric connection is expected here.
+    a relative disagreement beyond LIFT_TOL raises.  The two routes coincide
+    exactly for torsion-free connections (they differ by the torsion
+    contraction), so a symmetric connection is expected here.
     """
     m = mc.m
     if len(X) != m or len(Y) != m or len(p) != m:
@@ -326,7 +323,7 @@ def covariant_via_complete_lift(mc: ManifoldConnection, X, Y, p, tol=1e-9):
     section = covariant_derivative(symbols, X, Section(symbols.chart, tuple(Y)))
     direct = ex.compile_exprs(section.components, names)(*p)
     for a, b in zip(lifted, direct):
-        if abs(a - b) > tol * (1.0 + abs(a) + abs(b)):
+        if abs(a - b) > LIFT_TOL * (1.0 + abs(a) + abs(b)):
             raise EhresmannError(
                 "complete-lift and direct covariant derivatives disagree "
                 f"({lifted} vs {direct}); the connection is probably not symmetric"

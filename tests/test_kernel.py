@@ -561,6 +561,16 @@ class TestMovingGeometry:
         assert "_sin(" in loop  # th moves
         assert "(0.25)" not in loop  # the fixed ph has no box test
 
+    def test_section_loop_has_its_column_and_no_fixed_bound(self, sources):
+        # y = exp(x1 * x2), swept along x1 with x2 held fixed as b1
+        chart = BundleChart.standard(2, 1, {"x2": (-1.5, 1.5)})
+        conn = EhresmannConnection(chart, ((ex.parse("x2 * y1"), ex.parse("x1 * y1")),))
+        got = integral_section(conn, [0.0, 0.5], [1.0], [[1.0, 0.5]], steps=10)
+        _same_bits(got, reference_section(conn, [0.0, 0.5], [1.0], [[1.0, 0.5]], 10))
+        (loop,) = sources
+        assert "_column" not in loop and loop.count("* b1 *") == 4  # Gamma in every stage
+        assert loop.count("raise _outside(") == 4 and "<= b1 <=" not in loop
+
     @pytest.mark.parametrize("steps", [1, 2, 37])
     @pytest.mark.parametrize(
         "dim, seed, components",
@@ -785,7 +795,7 @@ class TestCompileCounts:
             _same_bits(result.vectors, reference_transport(mc, curve, [1.0], steps)[1])
             got = integral_section(conn, [0.0], [1.0], [[1.0]], steps=steps)
             _same_bits(got, reference_section(conn, [0.0], [1.0], [[1.0]], steps))
-        assert len(kernels) == 3  # the loop, then the sweep's column and loop
+        assert len(kernels) == 2  # the loop, then the sweep's loop with its column
 
     def test_signed_zero_curves_compile_apart(self, kernels):
         # Const(0.0) == Const(-0.0), but the two are different literals in a loop
@@ -829,14 +839,19 @@ class TestChartBoxMidIntegration:
             holonomy(sphere_connection(), curve, steps=100)
 
     @pytest.mark.parametrize(
-        "box, target",
-        [({"y1": (-2.0, 2.0)}, [1.0]),  # fiber y = e^x passes 2 near x = 0.69
-         ({"x1": (-1.0, 1.0)}, [1.5])],  # the sweep itself leaves the base box
+        "box, x0, target",
+        [({"y1": (-2.0, 2.0)}, [0.0], [1.0]),  # fiber y = e^x passes 2 near x = 0.69
+         ({"x1": (-1.0, 1.0)}, [0.0], [1.5]),  # the sweep itself leaves the base box
+         # a fixed base coordinate outside the box, after or before the axis
+         ({"x2": (-1.0, 1.0)}, [0.0, 1.5], [1.0, 1.5]),
+         ({"x1": (-1.0, 1.0)}, [-1.5, 0.0], [-1.5, 1.0])],
+        ids=["box0-target0", "box1-target1", "fixed-after-axis", "fixed-before-axis"],
     )
-    def test_section_leaves_box(self, box, target):
-        conn = EhresmannConnection(BundleChart.standard(1, 1, box), ((ex.parse("y1"),),))
+    def test_section_leaves_box(self, box, x0, target):
+        chart = BundleChart.standard(len(x0), 1, box)
+        conn = EhresmannConnection(chart, ((ex.parse("y1"),) * len(x0),))
         with pytest.raises(OutsideChartError) as caught:
-            integral_section(conn, [0.0], [1.0], [target], steps=100)
+            integral_section(conn, x0, [1.0], [target], steps=100)
         with pytest.raises(OutsideChartError) as expected:
-            reference_section(conn, [0.0], [1.0], [target], 100)
+            reference_section(conn, x0, [1.0], [target], 100)
         assert str(caught.value) == str(expected.value)

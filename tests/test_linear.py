@@ -173,6 +173,26 @@ class TestChristoffels:
         assert is_linear(conn)
         assert christoffels(conn).gamma == (((ex.Const(-1.0), ex.ZERO),),)
 
+    @pytest.mark.parametrize(
+        "source", ["y1 * log(exp(y1^2 + 1)) * (y1^2 + 1)^-1", "y1 * (y1^2)^0.5 * (y1^2)^-0.5"]
+    )
+    def test_scaled_symbol_that_only_looks_fiber_dependent(self, source):
+        # y1 on the scaling-test path: -d/dy1 is -1 wherever it is defined
+        conn = _connection(1, 1, [[source]])
+        assert not _entire_in(conn.gamma[0][0], conn.chart.fiber_names)
+        assert is_linear(conn)
+        assert christoffels(conn).gamma == (((ex.Const(-1.0),),),)
+
+    @pytest.mark.parametrize(
+        "source", ["y1 * (y1^4)^0.25 * (y1^2)^-0.5", "y1 * log(y1^4) * log(y1^2)^-1"]
+    )
+    def test_scaled_symbol_undefined_at_zero(self, source):
+        # linear, but -d/dy1 has no value at y1 = 0, so it keeps y1
+        conn = _connection(1, 1, [[source]])
+        assert is_linear(conn)
+        with pytest.raises(ChartError, match=r"uses coordinates \['y1'\] outside"):
+            christoffels(conn)
+
     def test_base_only_enforced(self):
         chart = BundleChart.standard(1, 1)
         with pytest.raises(ChartError):
