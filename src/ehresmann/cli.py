@@ -24,12 +24,8 @@ from . import linear as ln
 from . import multivector as mv
 from . import transport as tp
 from .errors import EhresmannError
-from .model import ModelFile
+from .model import TABLES
 from .model import load as load_model
-
-# the named-entry tables of a model file, e.g. ``connections``; a body
-# parameter named after one in the singular is a model entry (``command``)
-_TABLES = {f.name for f in dataclasses.fields(ModelFile) if f.default_factory is dict}
 
 
 def _fail(message):
@@ -95,8 +91,8 @@ def main():
 def command(name, fail_unless=None):
     """Declare subcommand ``name`` from a body ``(model, **options) ->
     report``.  Adds ``--model``, ``-o/--output`` and ``--seed``.  A body
-    parameter named after a model table (``connection`` for
-    ``ModelFile.connections``, likewise ``christoffel``,
+    parameter named after an entry table of :data:`model.TABLES` in the
+    singular (``connection`` for ``connections``, likewise ``christoffel``,
     ``manifold_connection``, ``jetfield``, ``section``, ``curve``) is a model
     entry: a required option, or an optional one when the parameter
     defaults to None.  The option is added unless the body declares it (to
@@ -109,7 +105,7 @@ def command(name, fail_unless=None):
 
     def register(body):
         params = inspect.signature(body).parameters
-        entries = [entry for entry in params if entry + "s" in _TABLES]
+        entries = [entry for entry in params if entry + "s" in TABLES]
 
         @functools.wraps(body)
         def run(model_path, output, seed, **options):

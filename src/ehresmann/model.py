@@ -9,6 +9,7 @@ time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -21,7 +22,7 @@ from .jetfield import JetField2
 from .linear import Christoffel, ManifoldConnection
 from .transport import Curve
 
-__all__ = ["ModelFile", "load"]
+__all__ = ["TABLES", "ModelFile", "load"]
 
 
 @dataclass
@@ -47,8 +48,11 @@ class ModelFile:
 
 
 def _parse_expr(text, where):
-    if isinstance(text, (int, float)):
-        return ex.Const(float(text))
+    if isinstance(text, (int, float)):  # a bool too, which _number refuses
+        value = _number(text, where)
+        if not math.isfinite(value):
+            raise ModelError(f"{where}: number {text!r} is out of range")
+        return ex.Const(value)
     try:
         return ex.parse(str(text))
     except ParseError as err:
@@ -103,17 +107,54 @@ def _number(value, where, kind=float):
         raise ModelError(str(err)) from err
 
 
+def _curve(model, components, entry, where):
+    """A curve on the manifold chart, over the entry's ``domain`` (default
+    [0, 1]) with its ``periods``."""
+    domain = entry.get("domain", [0.0, 1.0])
+    if not (isinstance(domain, list) and len(domain) == 2):
+        raise ModelError(f"{where}.domain: expected [t0, t1]")
+    periods = entry.get("periods") or {}
+    if not isinstance(periods, dict):
+        raise ModelError(f"{where}.periods: expected a mapping")
+    return Curve(
+        model.manifold_names,
+        components,
+        tuple(_number(t, f"{where}.domain") for t in domain),
+        {str(k): _number(v, f"{where}.periods.{k}") for k, v in periods.items()},
+    )
+
+
+# the entry tables of a model file, in load order: name -> (the chart block
+# an entry needs, the keys of the entry's expression tables, and
+# build(model, *tables, entry, where), which makes the entry from them)
+TABLES = {
+    "connections": ("bundle", ("gamma",), lambda m, g, *_: EhresmannConnection(m.chart, g)),
+    "jetfields": ("bundle", ("F", "G"), lambda m, F, G, *_: JetField2(JetChart(m.chart), F, G)),
+    "christoffels": ("bundle", ("gamma",), lambda m, g, *_: Christoffel(m.chart, g)),
+    "manifold_connections": (
+        "manifold", ("gamma",),
+        lambda m, g, *_: ManifoldConnection(m.manifold_names, g, dict(m.manifold_box)),
+    ),
+    "sections": ("bundle", ("components",), lambda m, phi, *_: Section(m.chart, phi)),
+    "curves": ("manifold", ("components",), _curve),
+}
+
+
 def load(path) -> ModelFile:
     """Load and fully validate a model file."""
     try:
         with open(path) as handle:
             raw = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, ValueError) as err:  # ValueError: e.g. a date 2024-13-45
         raise ModelError(f"{path}: not valid YAML: {err}") from err
     except OSError as err:
         raise ModelError(f"{path}: {err}") from err
     if not isinstance(raw, dict):
         raise ModelError(f"{path}: model file must be a mapping")
+    known = ("probe", "bundle", "manifold", *TABLES)
+    unknown = sorted(map(str, set(raw) - set(known)))
+    if unknown:
+        raise ModelError(f"{path}: unknown keys {unknown} (known: {', '.join(known)})")
 
     model = ModelFile(path=str(path))
 
@@ -151,73 +192,26 @@ def load(path) -> ModelFile:
         )
         model.manifold_box = _box(manifold_block.get("box"), "manifold", model.manifold_names)
 
-    def need_chart(where):
-        if model.chart is None:
-            raise ModelError(f"{where}: requires a bundle block")
-        return model.chart
-
-    def need_manifold(where):
-        if model.manifold_names is None:
-            raise ModelError(f"{where}: requires a manifold block")
-        return model.manifold_names
-
-    for name, block in (raw.get("connections") or {}).items():
-        where = f"connections.{name}"
-        chart = need_chart(where)
-        table = _table(block, "gamma", where)
-        model.connections[name] = _build(where, EhresmannConnection, chart, table)
-
-    for name, block in (raw.get("jetfields") or {}).items():
-        where = f"jetfields.{name}"
-        chart = need_chart(where)
-        F = _table(block, "F", where)
-        G = _table(block, "G", where)
-        model.jetfields[name] = _build(where, JetField2, JetChart(chart), F, G)
-
-    for name, block in (raw.get("christoffels") or {}).items():
-        where = f"christoffels.{name}"
-        chart = need_chart(where)
-        table = _table(block, "gamma", where)
-        model.christoffels[name] = _build(where, Christoffel, chart, table)
-
-    for name, block in (raw.get("manifold_connections") or {}).items():
-        where = f"manifold_connections.{name}"
-        names = need_manifold(where)
-        table = _table(block, "gamma", where)
-        model.manifold_connections[name] = _build(
-            where, ManifoldConnection, names, table, dict(model.manifold_box)
-        )
-
-    for name, block in (raw.get("sections") or {}).items():
-        where = f"sections.{name}"
-        chart = need_chart(where)
-        components = _table(block, "components", where)
-        model.sections[name] = _build(where, Section, chart, components)
-
-    for name, block in (raw.get("curves") or {}).items():
-        where = f"curves.{name}"
-        names = tuple(need_manifold(where))
-        components = _table(block, "components", where)
-        domain = block.get("domain", [0.0, 1.0])
-        if not (isinstance(domain, list) and len(domain) == 2):
-            raise ModelError(f"{where}.domain: expected [t0, t1]")
-        periods = block.get("periods") or {}
-        if not isinstance(periods, dict):
-            raise ModelError(f"{where}.periods: expected a mapping")
-        model.curves[name] = _build(
-            where,
-            Curve,
-            names,
-            components,
-            tuple(_number(t, f"{where}.domain") for t in domain),
-            {str(k): _number(v, f"{where}.periods.{k}") for k, v in periods.items()},
-        )
+    for kind, (block, keys, build) in TABLES.items():
+        table = raw.get(kind)
+        if not isinstance(table, (dict, type(None))):
+            raise ModelError(f"{kind}: must be a mapping")
+        for name, entry in (table or {}).items():
+            if not isinstance(name, str):
+                raise ModelError(f"{kind}: entry name {name!r} is not a string")
+            where = f"{kind}.{name}"
+            if getattr(model, "chart" if block == "bundle" else "manifold_names") is None:
+                raise ModelError(f"{where}: requires a {block} block")
+            if not isinstance(entry, dict):
+                raise ModelError(f"{where}: must be a mapping")
+            tables = [_table(entry, key, where) for key in keys]
+            getattr(model, kind)[name] = _build(where, build, model, *tables, entry, where)
 
     return model
 
 
-def _table(block, key, where):
-    """The table under ``key`` of a block, parsed."""
-    if not isinstance(block, dict) or key not in block:
+def _table(entry, key, where):
+    """The table under ``key`` of an entry, parsed."""
+    if key not in entry:
         raise ModelError(f"{where}: missing {key!r}")
-    return _parse_table(block[key], f"{where}.{key}")
+    return _parse_table(entry[key], f"{where}.{key}")

@@ -116,12 +116,11 @@ def is_transverse(mv: Multivector, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> 
     at every probe point (sufficient on a single chart).  Points out of
     domain, or where the pairing is not finite, are redrawn as in
     :func:`expr.probe_values`."""
-    pairing = contract(mv, base_volume_form(mv.chart))
-    normalized = ex.normalize(pairing)
-    if isinstance(normalized, ex.Const):
-        return abs(normalized.value) > probe.tol
+    pairing = contract(mv, base_volume_form(mv.chart))  # normalized
+    if isinstance(pairing, ex.Const):
+        return abs(pairing.value) > probe.tol
     names = mv.chart.coordinate_names
-    values = ex.probe_values(ex._evaluate_scaled(normalized, names), names, probe)
+    values = ex.probe_values(ex._evaluate_scaled(pairing, names), names, probe)
     return all(abs(value) > probe.tol * (1.0 + scale) for value, scale in values)
 
 

@@ -70,10 +70,6 @@ class Curve:
     def _point(self):  # the compiled point function
         return ex.compile_exprs(self.components, (PARAMETER_NAME,))
 
-    @cached_property
-    def velocity_exprs(self):
-        return tuple(ex.differentiate(comp, PARAMETER_NAME) for comp in self.components)
-
     def is_closed(self):
         """Whether the ends meet to CLOSURE_TOL per component, modulo periods."""
         start, end = map(self.point, self.domain)

@@ -1,6 +1,7 @@
 """Print the label, exit code, stdout and ``-o`` report of every
 ``conftest.CLI_CASES`` invocation, the exit code and stderr of ``expr`` on
-every ``conftest.BAD_MODELS`` model, the ``--help`` of the group and of every
+every ``conftest.BAD_MODELS`` model (with the model's temporary path shown
+as ``<path>``), the ``--help`` of the group and of every
 subcommand, and the exit code and stderr of every ``conftest.UNKNOWN_ENTRY``
 invocation, all run in-process with click's CliRunner.
 
@@ -44,7 +45,7 @@ def main():
             path.write_text(text)
             result = runner.invoke(cli.main, ["expr", "--model", str(path), "--text", "0"])
             sys.stdout.write(f"== bad model {name}: exit {result.exit_code}\n")
-            sys.stdout.write("-- stderr\n" + result.stderr)
+            sys.stdout.write("-- stderr\n" + result.stderr.replace(str(path), "<path>"))
     for name in [None, *sorted(cli.main.commands)]:
         args = ["--help"] if name is None else [name, "--help"]
         result = runner.invoke(cli.main, args, prog_name="ehresmann")

@@ -243,8 +243,11 @@ UNKNOWN_ENTRY = {
              "--fiber", "1,0", "--vector", "0,1"],
 }
 
-# malformed model tables, each with one shape defect in the entry named
-# "broken": name -> model text; shared by the model tests and the CLI report
+# malformed models, each with one defect: mostly a shape defect in the entry
+# named "broken", then a table or entry name of the wrong type, a YAML number
+# the expression grammar refuses, a YAML value that PyYAML cannot construct
+# and an unknown top-level key: name -> model text; shared by the model
+# tests and the CLI report
 _PLANE = "bundle: {base: 2, fiber: 1}\n"
 _SURFACE = "manifold: {coords: [a, b]}\n"
 BAD_MODELS = {
@@ -257,6 +260,14 @@ BAD_MODELS = {
     "manifold_connections-scalar": _SURFACE + "manifold_connections: {broken: {gamma: a}}\n",
     "sections-too-deep": _PLANE + "sections: {broken: {components: [[x1]]}}\n",
     "curves-short": _SURFACE + "curves: {broken: {components: [t]}}\n",
+    "connections-list": _PLANE + "connections: [1, 2]\n",
+    "connections-integer-name": _PLANE + "connections: {1: {gamma: [[y1, x1]]}}\n",
+    "connections-bool": _PLANE + "connections: {broken: {gamma: [[true, x1]]}}\n",
+    "connections-inf": _PLANE + "connections: {broken: {gamma: [[.inf, x1]]}}\n",
+    "connections-huge-integer":
+        _PLANE + "connections: {broken: {gamma: [[1%s, x1]]}}\n" % ("0" * 400),
+    "bad-date": "bundle: {base: 2024-13-45, fiber: 1}\n",
+    "unknown-key": _PLANE + "conections: {c: {gamma: [[y1, x1]]}}\n",
 }
 
 

@@ -302,8 +302,8 @@ def _first_domain_error(mc, curve, steps):
     for s in times:
         try:
             point = [ex.evaluate(c, {"t": s}) for c in curve.components]
-            for c in curve.velocity_exprs:
-                ex.evaluate(c, {"t": s})
+            for c in curve.components:
+                ex.evaluate(ex.differentiate(c, "t"), {"t": s})
             for e in entries:
                 ex.evaluate(e, dict(zip(mc.coordinate_names, point)))
         except DomainError as err:

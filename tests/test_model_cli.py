@@ -16,8 +16,9 @@ from ehresmann.model import load
 
 from conftest import BAD_MODELS, CLI_CASES, LINE, MODELS, PLANE, SPHERE, UNKNOWN_ENTRY
 
-# the error of each conftest.BAD_MODELS entry: the entry, then the
-# constructor's table name, the offending index and the shape defect
+# the error of each conftest.BAD_MODELS entry, with the model file's path
+# as <path>: for a shape defect, the entry, then the constructor's table
+# name, the offending index and the defect
 BAD_MODEL_ERRORS = {
     "connections-short-row": "connections.broken: Gamma[1]: expected 2 entries, found 1",
     "connections-extra-row": "connections.broken: Gamma: expected 1 entry, found 2",
@@ -29,6 +30,15 @@ BAD_MODEL_ERRORS = {
     "sections-too-deep":
         "sections.broken: section component[1]: expected an expression, found tuple",
     "curves-short": "curves.broken: curve component: expected 2 entries, found 1",
+    "connections-list": "connections: must be a mapping",
+    "connections-integer-name": "connections: entry name 1 is not a string",
+    "connections-bool": "connections.broken.gamma[1][1]: expected a number, got True",
+    "connections-inf": "connections.broken.gamma[1][1]: number inf is out of range",
+    "connections-huge-integer":
+        f"connections.broken.gamma[1][1]: expected a number, got 1{'0' * 400}",
+    "bad-date": "<path>: not valid YAML: month must be in 1..12",
+    "unknown-key": "<path>: unknown keys ['conections'] (known: probe, bundle, manifold, "
+                   "connections, jetfields, christoffels, manifold_connections, sections, curves)",
 }
 
 
@@ -103,7 +113,7 @@ class TestModelLoading:
         path.write_text(BAD_MODELS[case])
         with pytest.raises(ModelError) as info:
             load(str(path))
-        assert str(info.value) == BAD_MODEL_ERRORS[case]
+        assert str(info.value).replace(str(path), "<path>") == BAD_MODEL_ERRORS[case]
 
     def test_bad_expression_reported_with_location(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -325,6 +335,9 @@ class TestCliCommands:
             "max-retries-true": (plane + "probe: {max_retries: true}\n", integrable),
             "bundle-box-true": (plane.replace("x1: [-4.0, 4.0]", "x1: [true, 4.0]"), integrable),
         }
+        bad_models.update(
+            {f"bad-{name}": (text, ["expr", "--text", "0"]) for name, text in BAD_MODELS.items()}
+        )
         for label, (text, args) in bad_models.items():
             path = tmp_path / f"{label}.yaml"
             path.write_text(text)
