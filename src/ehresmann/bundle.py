@@ -60,8 +60,10 @@ def check_number(value, what, kind=float):
         if isinstance(value, bool):
             raise TypeError("a bool is not a number")
         number = kind(value)
-    except (TypeError, ValueError, OverflowError) as err:
+    except (TypeError, ValueError) as err:
         raise ChartError(f"{what}: expected a number, got {value!r}") from err
+    except OverflowError as err:  # an int too large for a float, or inf as an int
+        raise ChartError(f"{what}: number {value!r} is out of range") from err
     if kind is int and isinstance(value, float) and number != value:
         raise ChartError(f"{what}: expected an integer, got {value!r}")
     return number

@@ -78,12 +78,8 @@ def _names(value, prefix, what):
 
 
 def _box(value, what, names):
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ModelError(f"{what}: box must map coordinate -> [low, high]")
     out = {}
-    for name, bounds in value.items():
+    for name, bounds in _mapping(value, f"{what}.box").items():
         if not (isinstance(bounds, list) and len(bounds) == 2):
             raise ModelError(f"{what}: box entry {name!r} must be [low, high]")
         out[name] = tuple(_number(bound, f"{what}.box.{name}") for bound in bounds)
@@ -91,12 +87,28 @@ def _box(value, what, names):
     return out
 
 
+def _mapping(value, where, known=None):
+    """``value`` as a mapping, null as an empty one; with ``known``, a key
+    outside it is refused."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ModelError(f"{where}: must be a mapping")
+    unknown = sorted(map(str, set(value) - set(known))) if known is not None else []
+    if unknown:
+        raise ModelError(f"{where}: unknown keys {unknown} (known: {', '.join(known)})")
+    return value
+
+
 def _build(where, make, *args):
-    """``make(*args)``, with a :class:`ChartError` reported as a
-    :class:`ModelError` at ``where``."""
+    """``make(*args)``, with an :class:`EhresmannError` reported as a
+    :class:`ModelError` at ``where``; a :class:`ModelError` already names
+    its own."""
     try:
         return make(*args)
-    except ChartError as err:
+    except ModelError:
+        raise
+    except EhresmannError as err:
         raise ModelError(f"{where}: {err}") from err
 
 
@@ -113,9 +125,7 @@ def _curve(model, components, entry, where):
     domain = entry.get("domain", [0.0, 1.0])
     if not (isinstance(domain, list) and len(domain) == 2):
         raise ModelError(f"{where}.domain: expected [t0, t1]")
-    periods = entry.get("periods") or {}
-    if not isinstance(periods, dict):
-        raise ModelError(f"{where}.periods: expected a mapping")
+    periods = _mapping(entry.get("periods"), f"{where}.periods")
     return Curve(
         model.manifold_names,
         components,
@@ -125,8 +135,8 @@ def _curve(model, components, entry, where):
 
 
 # the entry tables of a model file, in load order: name -> (the chart block
-# an entry needs, the keys of the entry's expression tables, and
-# build(model, *tables, entry, where), which makes the entry from them)
+# an entry needs, the keys of its expression tables, build(model, *tables,
+# entry, where), which makes the entry from them, then its optional keys)
 TABLES = {
     "connections": ("bundle", ("gamma",), lambda m, g, *_: EhresmannConnection(m.chart, g)),
     "jetfields": ("bundle", ("F", "G"), lambda m, F, G, *_: JetField2(JetChart(m.chart), F, G)),
@@ -136,7 +146,7 @@ TABLES = {
         lambda m, g, *_: ManifoldConnection(m.manifold_names, g, dict(m.manifold_box)),
     ),
     "sections": ("bundle", ("components",), lambda m, phi, *_: Section(m.chart, phi)),
-    "curves": ("manifold", ("components",), _curve),
+    "curves": ("manifold", ("components",), _curve, "domain", "periods"),
 }
 
 
@@ -151,59 +161,39 @@ def load(path) -> ModelFile:
         raise ModelError(f"{path}: {err}") from err
     if not isinstance(raw, dict):
         raise ModelError(f"{path}: model file must be a mapping")
-    known = ("probe", "bundle", "manifold", *TABLES)
-    unknown = sorted(map(str, set(raw) - set(known)))
-    if unknown:
-        raise ModelError(f"{path}: unknown keys {unknown} (known: {', '.join(known)})")
+    _mapping(raw, path, ("probe", "bundle", "manifold", *TABLES))
 
     model = ModelFile(path=str(path))
 
-    probe_block = raw.get("probe") or {}
-    if not isinstance(probe_block, dict):
-        raise ModelError("probe: must be a mapping")
     kinds = dict(points=int, low=float, high=float, tol=float, seed=int, max_retries=int)
-    unknown = sorted(map(str, set(probe_block) - set(kinds)))
-    if unknown:
-        raise ModelError(f"probe: unknown keys {unknown} (known: {', '.join(kinds)})")
-    settings = {
-        key: _number(probe_block.get(key, getattr(ex.DEFAULT_PROBE, key)), f"probe.{key}", kind)
+    probe = _mapping(raw.get("probe"), "probe", kinds)
+    model.probe = _build("probe", lambda: ex.ProbeConfig(**{
+        key: _number(probe.get(key, getattr(ex.DEFAULT_PROBE, key)), f"probe.{key}", kind)
         for key, kind in kinds.items()
-    }
-    try:
-        model.probe = ex.ProbeConfig(**settings)
-    except EhresmannError as err:
-        raise ModelError(f"probe: {err}") from err
+    }))
 
-    bundle_block = raw.get("bundle")
-    if bundle_block is not None:
-        if not isinstance(bundle_block, dict):
-            raise ModelError("bundle: must be a mapping")
-        base = _names(bundle_block.get("base", bundle_block.get("m")), "x", "bundle.base")
-        fiber = _names(bundle_block.get("fiber", bundle_block.get("n")), "y", "bundle.fiber")
-        box = _box(bundle_block.get("box"), "bundle", base + fiber)
+    if raw.get("bundle") is not None:
+        bundle = _mapping(raw["bundle"], "bundle", ("base", "fiber", "box"))
+        base = _names(bundle.get("base"), "x", "bundle.base")
+        fiber = _names(bundle.get("fiber"), "y", "bundle.fiber")
+        box = _box(bundle.get("box"), "bundle", base + fiber)
         model.chart = _build("bundle", BundleChart, base, fiber, box)
 
-    manifold_block = raw.get("manifold")
-    if manifold_block is not None:
-        if not isinstance(manifold_block, dict):
-            raise ModelError("manifold: must be a mapping")
-        model.manifold_names = _names(
-            manifold_block.get("coords", manifold_block.get("m")), "x", "manifold.coords"
-        )
-        model.manifold_box = _box(manifold_block.get("box"), "manifold", model.manifold_names)
+    if raw.get("manifold") is not None:
+        manifold = _mapping(raw["manifold"], "manifold", ("coords", "box"))
+        model.manifold_names = _names(manifold.get("coords"), "x", "manifold.coords")
+        model.manifold_box = _box(manifold.get("box"), "manifold", model.manifold_names)
 
-    for kind, (block, keys, build) in TABLES.items():
-        table = raw.get(kind)
-        if not isinstance(table, (dict, type(None))):
-            raise ModelError(f"{kind}: must be a mapping")
-        for name, entry in (table or {}).items():
+    for kind, (block, keys, build, *optional) in TABLES.items():
+        for name, entry in _mapping(raw.get(kind), kind).items():
             if not isinstance(name, str):
                 raise ModelError(f"{kind}: entry name {name!r} is not a string")
             where = f"{kind}.{name}"
             if getattr(model, "chart" if block == "bundle" else "manifold_names") is None:
                 raise ModelError(f"{where}: requires a {block} block")
-            if not isinstance(entry, dict):
+            if entry is None:
                 raise ModelError(f"{where}: must be a mapping")
+            entry = _mapping(entry, where, (*keys, *optional))
             tables = [_table(entry, key, where) for key in keys]
             getattr(model, kind)[name] = _build(where, build, model, *tables, entry, where)
 

@@ -241,16 +241,20 @@ def horizontal_lift_vector(mc: ManifoldConnection, p, u, v):
         raise ChartError("point and vectors need m components each")
     if not all(map(math.isfinite, [*u, *v])):
         raise ChartError("vectors must be finite")
-    for name, value in zip(mc.coordinate_names, p):
-        low, high = mc.bounds(name)
-        if not (low <= value <= high):
-            raise OutsideChartError(f"point outside the chart box: {name}={value}")
+    _check_point(mc, p)
     names, gamma = _key(mc)
     entries, values_at = _lift(names, gamma, repr(gamma))
     totals = [0.0] * m
     for (rho, nu, mu), value in zip(entries, values_at(*map(float, p))):
         totals[rho] += value * u[mu] * v[nu]
     return list(v) + [-total for total in totals]
+
+
+def _check_point(mc: ManifoldConnection, p):
+    for name, value in zip(mc.coordinate_names, p):
+        low, high = mc.bounds(name)
+        if not (low <= value <= high):  # a nan is outside too
+            raise OutsideChartError(f"point outside the chart box: {name}={value}")
 
 
 @lru_cache(maxsize=kernel.CACHED)
@@ -296,9 +300,9 @@ def complete_lift(mc: ManifoldConnection, Y):
 
 
 def covariant_via_complete_lift(mc: ManifoldConnection, X, Y, p):
-    """Covariant derivative nabla_X Y at the base point p, computed as the
-    vertical part of the complete lift of Y evaluated at the tangent-bundle
-    point (p, X(p)), read back as a fiber vector.
+    """Covariant derivative nabla_X Y at the point p of the chart box,
+    computed as the vertical part of the complete lift of Y evaluated at
+    the tangent-bundle point (p, X(p)), read back as a fiber vector.
 
     The result is cross-checked against the direct component formula,
     :func:`ehresmann.linear.covariant_derivative` of the Christoffel symbols;
@@ -309,9 +313,10 @@ def covariant_via_complete_lift(mc: ManifoldConnection, X, Y, p):
     m = mc.m
     if len(X) != m or len(Y) != m or len(p) != m:
         raise ChartError("fields and point need m components each")
+    names, p = mc.coordinate_names, [float(value) for value in p]
+    _check_point(mc, p)
     base, fiber = complete_lift(mc, Y)
     _, vertical_part = hv_project_tm(mc, base, fiber)
-    names, p = mc.coordinate_names, [float(value) for value in p]
     x_at_p = ex.compile_exprs(X, names)(*p)
     tangent = mc.tangent_chart().coordinate_names  # (x, v)
     lifted = ex.compile_exprs(vertical_part[1], tangent)(*p, *x_at_p)

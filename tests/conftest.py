@@ -245,9 +245,10 @@ UNKNOWN_ENTRY = {
 
 # malformed models, each with one defect: mostly a shape defect in the entry
 # named "broken", then a table or entry name of the wrong type, a YAML number
-# the expression grammar refuses, a YAML value that PyYAML cannot construct
-# and an unknown top-level key: name -> model text; shared by the model
-# tests and the CLI report
+# the expression grammar refuses, a YAML value that PyYAML cannot construct,
+# an unknown key at the top level, in an entry or in a chart block (the
+# dimension aliases m and n among them), and a block that is not a mapping:
+# name -> model text; shared by the model tests and the CLI report
 _PLANE = "bundle: {base: 2, fiber: 1}\n"
 _SURFACE = "manifold: {coords: [a, b]}\n"
 BAD_MODELS = {
@@ -268,6 +269,15 @@ BAD_MODELS = {
         _PLANE + "connections: {broken: {gamma: [[1%s, x1]]}}\n" % ("0" * 400),
     "bad-date": "bundle: {base: 2024-13-45, fiber: 1}\n",
     "unknown-key": _PLANE + "conections: {c: {gamma: [[y1, x1]]}}\n",
+    "curves-unknown-key": _SURFACE + "curves: {c: {components: [t, t], domian: [0, 5]}}\n",
+    "connections-unknown-key": _PLANE + "connections: {c: {gamma: [[y1, x1]], gama: 0}}\n",
+    "bundle-unknown-key": "bundle: {base: 2, fiber: 1, bxo: {x1: [0, 1]}}\n",
+    "manifold-unknown-key": "manifold: {coords: [a, b], boxx: {a: [0, 1]}}\n",
+    "bundle-m-n": "bundle: {m: 2, n: 1}\n",
+    "bundle-box-list": "bundle: {base: 2, fiber: 1, box: [[0, 1]]}\n",
+    "probe-list": _PLANE + "probe: []\n",
+    "probe-zero": _PLANE + "probe: 0\n",
+    "periods-list": _SURFACE + "curves: {c: {components: [t, t], periods: []}}\n",
 }
 
 

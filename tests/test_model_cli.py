@@ -35,10 +35,19 @@ BAD_MODEL_ERRORS = {
     "connections-bool": "connections.broken.gamma[1][1]: expected a number, got True",
     "connections-inf": "connections.broken.gamma[1][1]: number inf is out of range",
     "connections-huge-integer":
-        f"connections.broken.gamma[1][1]: expected a number, got 1{'0' * 400}",
+        f"connections.broken.gamma[1][1]: number 1{'0' * 400} is out of range",
     "bad-date": "<path>: not valid YAML: month must be in 1..12",
     "unknown-key": "<path>: unknown keys ['conections'] (known: probe, bundle, manifold, "
                    "connections, jetfields, christoffels, manifold_connections, sections, curves)",
+    "curves-unknown-key": "curves.c: unknown keys ['domian'] (known: components, domain, periods)",
+    "connections-unknown-key": "connections.c: unknown keys ['gama'] (known: gamma)",
+    "bundle-unknown-key": "bundle: unknown keys ['bxo'] (known: base, fiber, box)",
+    "manifold-unknown-key": "manifold: unknown keys ['boxx'] (known: coords, box)",
+    "bundle-m-n": "bundle: unknown keys ['m', 'n'] (known: base, fiber, box)",
+    "bundle-box-list": "bundle.box: must be a mapping",
+    "probe-list": "probe: must be a mapping",
+    "probe-zero": "probe: must be a mapping",
+    "periods-list": "curves.c.periods: must be a mapping",
 }
 
 
@@ -348,6 +357,17 @@ class TestCliCommands:
             assert isinstance(result.exception, SystemExit), args
             assert result.stderr.startswith("error: "), args
         assert not (tmp_path / "nan.csv").exists()
+
+    @pytest.mark.parametrize("th", ["3.2", "nan"])
+    def test_covariant_outside_box_exit_2(self, runner, th):
+        # lift refuses the same points; th in [0.01, 3.13] on the sphere
+        result = runner.invoke(cli.main, [
+            "covariant", "--model", SPHERE, "--manifold-connection", "levi_civita",
+            "--field", "1,0", "--other-field", "0,1", "--point", f"{th},0.5",
+        ])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: point outside the chart box: th={float(th)}\n"
 
     def test_power_overflow_exit_2(self, runner):
         result = runner.invoke(

@@ -146,7 +146,7 @@ class TestParallelTransport:
         [
             (10.5, "steps: expected an integer, got 10.5"),
             (True, "steps: expected a number, got True"),
-            (math.inf, "steps: expected a number, got inf"),
+            (math.inf, "steps: number inf is out of range"),
             (None, "steps: expected a number, got None"),
         ],
     )
@@ -331,6 +331,14 @@ class TestCovariantViaCompleteLift:
         Y = (ex.ZERO, ex.ONE)
         with pytest.raises(EhresmannError):
             covariant_via_complete_lift(mc, X, Y, [0.2, 0.4])
+
+    @pytest.mark.parametrize("th", [3.2, math.nan, 0.0])
+    def test_box_enforced(self, th):
+        # th in [0.01, 3.13] on the sphere; at th = 0 the coefficients have a pole
+        with pytest.raises(OutsideChartError, match=rf"^point outside the chart box: th={th}$"):
+            covariant_via_complete_lift(
+                sphere_connection(), (ex.ONE, ex.ZERO), (ex.ZERO, ex.ONE), [th, 0.5]
+            )
 
     def test_input_validation(self):
         mc = flat_connection()
