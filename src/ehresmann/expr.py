@@ -13,8 +13,8 @@ through it.
 
 Zero-testing is probabilistic: after a shallow structural normalization
 (flatten, constant-fold, collect syntactically identical terms) an expression
-that did not collapse to the literal 0 is compiled once and evaluated at
-pseudo-random probe points drawn from a configurable box.
+that did not collapse to the literal 0 is compiled once per process and
+evaluated at pseudo-random probe points drawn from a configurable box.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import kernel
 from .errors import DomainError, EhresmannError, EvaluationError, ParseError, UnprobeableError
@@ -420,15 +421,14 @@ def evaluate(e: Expr, bindings) -> float:
 
 
 def _evaluate_scaled(e, names):
-    """Compiles ``e`` once over ``names`` and returns ``at(bindings)``, for
-    bindings of ``names`` in that order as :func:`probe_values` draws them.
-    ``at`` gives (value, scale) with scale = max |v| over the values of all
-    nodes, the base of the relative tolerance in probing, and raises
-    :class:`DomainError` where either is not finite."""
-    env, operands = {}, {name: f"a{k}" for k, name in enumerate(names)}
-    lines, (result,), sizes, _ = _generate([e], operands, "v", env)
-    largest = f"max(map(abs, ({', '.join(sizes)},)))"
-    scaled = _define(env, operands.values(), lines, f"{result}, {largest}")
+    """``at(bindings)`` for ``e`` over ``names``, for bindings of ``names``
+    in that order as :func:`probe_values` draws them.  ``at`` gives (value,
+    scale) with scale = max |v| over the values of all nodes, the base of
+    the relative tolerance in probing, and raises :class:`DomainError` where
+    either is not finite.  The kernel is compiled once per process for each
+    tree and names, up to :data:`kernel.PROBED` kernels; a list of names
+    keys as a tuple."""
+    scaled = _scaled(e, tuple(names))
 
     def at(bindings):
         value, scale = scaled(*bindings.values())
@@ -437,6 +437,23 @@ def _evaluate_scaled(e, names):
         return value, scale
 
     return at
+
+
+@lru_cache(maxsize=kernel.PROBED)
+def _scaled(e, names):
+    """The kernel of :func:`_evaluate_scaled`, keyed by equality, so trees
+    that differ only in the sign of a zero constant share it.  That is safe
+    for probing alone (not for :func:`compile_exprs`, whose values reach
+    users): a zero's sign changes at most the sign of a value, never its
+    magnitude or finiteness, which are all that probing reads; it never
+    decides whether a line raises (the power lines test ``!= 0.0`` and
+    ``> 0.0``, ``_power`` tests ``== 0.0`` and ``< 0.0``, and log(-0.0)
+    fails as log(0.0) does); and :func:`probe_values` drops the
+    :class:`DomainError` messages, which may show the other zero."""
+    env, operands = {}, {name: f"a{k}" for k, name in enumerate(names)}
+    lines, (result,), sizes, _ = _generate([e], operands, "v", env)
+    largest = f"max(map(abs, ({', '.join(sizes)},)))"
+    return _define(env, operands.values(), lines, f"{result}, {largest}")
 
 
 def compile_exprs(exprs, names):
@@ -932,9 +949,9 @@ def probe_values(at, names, probe: ProbeConfig = DEFAULT_PROBE):
 def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE) -> bool:
     """True iff the expression vanishes identically, decided by structural
     normalization plus random probing with relative tolerance.  The
-    normalized tree is compiled once and probed at every point.  A probe
-    point where the value or the scale is not finite counts as out of
-    domain: a non-finite number is never zero."""
+    normalized tree is compiled once per process and probed at every
+    point.  A probe point where the value or the scale is not finite counts
+    as out of domain: a non-finite number is never zero."""
     normalized = normalize(e)
     if isinstance(normalized, Const):
         return abs(normalized.value) <= probe.tol

@@ -8,21 +8,26 @@ runs every step in a single frame, with the state, the stages and the
 geometry (a transport's curve and Gamma, a sweep's Gamma column) in local
 variables, and chart-box tests from :func:`box_check`; its callers keep up
 to :data:`CACHED` such loops per cache, each compiled once per geometry.
+Probing keeps up to :data:`PROBED` kernels, one per distinct tree and names.
 """
 
 from __future__ import annotations
 
+import sys
+
 from .errors import DomainError
 
-__all__ = ["CACHED", "TAG", "box_check", "compile_rk4", "define"]
+__all__ = ["CACHED", "PROBED", "TAG", "box_check", "compile_rk4", "define"]
 
 TAG = "  #! "  # separates a line from the message of the error it can raise
 CACHED = 64  # compiled RK4 loops kept per cache, the least recently used dropped
+PROBED = 1024  # compiled probe kernels kept, enough for a pass's distinct trees
 
 
 def define(head, lines, env):
     """Compile ``def head:`` with body ``lines`` into the globals ``env``
-    (one function per ``env``) and return the function.  A line
+    (one function per ``env``) and return the function, which ``env`` does
+    not keep, so that it goes with its last reference.  A line
     ``statement + TAG + message`` whose statement raises ValueError or
     OverflowError raises :class:`DomainError` with ``message`` instead, its
     ``{name}`` fields filled from the function's names at that moment;
@@ -31,23 +36,26 @@ def define(head, lines, env):
     for line in lines:
         statement, _, message = line.partition(TAG)
         if message:
-            messages[len(source) + 1] = message  # the line number it gets
+            messages[len(source) + 1] = sys.intern(message)  # the line number it gets
         source.append("        " + statement)
     source += [
         "    except (ValueError, OverflowError) as _err:",
         "        _fail(_err)",
         "        raise",
     ]
-
-    def fail(err):
-        message = messages.get(err.__traceback__.tb_lineno)
-        if message is not None:
-            frame = err.__traceback__.tb_frame
-            raise DomainError(message.format_map({**frame.f_globals, **frame.f_locals}))
-
-    env["_fail"] = fail
+    env.update(_fail=_fail, _messages=messages)
     exec(compile("\n".join(source), "<ehresmann.kernel>", "exec"), env)
-    return env[head.partition("(")[0]]
+    return env.pop(head.partition("(")[0])
+
+
+def _fail(err):
+    """Raise the :class:`DomainError` of the generated line at which ``err``
+    was raised, if the line carries a message."""
+    trace = err.__traceback__
+    frame = trace.tb_frame
+    message = frame.f_globals["_messages"].get(trace.tb_lineno)
+    if message is not None:
+        raise DomainError(message.format_map({**frame.f_globals, **frame.f_locals}))
 
 
 def box_check(point, bounds, kept, args):

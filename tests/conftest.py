@@ -24,8 +24,9 @@ def probe():
 
 @pytest.fixture
 def cold_kernels():
-    """Empty the caches of compiled RK4 loops, so that what a test compiles
-    does not depend on the tests that ran before it."""
+    """Empty the caches of compiled RK4 loops and probe kernels, so that what
+    a test compiles does not depend on the tests that ran before it."""
+    ex._scaled.cache_clear()
     transport._loop.cache_clear()
     transport._lift.cache_clear()
     connection._sweep.cache_clear()

@@ -12,6 +12,7 @@ import dataclasses
 import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -174,6 +175,23 @@ class TestCompileExprs:
         try:
             ex._generate([tree], {"x": "a0"}, "v", {})
             assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("make", [
+        lambda: kernel.define("f(a)", ["return a + 1.0"], {}),
+        lambda: compile_exprs([ex.parse("sin(x) + log(x)")], ["x"]),
+    ], ids=["define", "compile_exprs"])
+    def test_defined_function_leaves_no_cycle(self, make):
+        # a generated function goes with its last reference, not when the
+        # cycle collector runs: its globals do not hold it
+        gc.collect()
+        gc.disable()
+        try:
+            f = make()
+            ref = weakref.ref(f)
+            del f
+            assert ref() is None
         finally:
             gc.enable()
 
@@ -693,8 +711,9 @@ class TestHorizontalLift:
 
 
 class TestCompileCounts:
-    """Each RK4 loop compiles once per geometry, each other numeric entry
-    point once per call; loading a model compiles nothing."""
+    """Each RK4 loop compiles once per geometry, each probe kernel once per
+    tree and names, each other numeric entry point once per call; loading a
+    model compiles nothing."""
 
     @pytest.fixture
     def compiles(self, monkeypatch):
@@ -805,6 +824,61 @@ class TestCompileCounts:
             result = parallel_transport(mc, curve, [0.3, -1.1], 5)
             _same_bits((result.times, result.vectors), reference_transport(mc, curve, [0.3, -1.1], 5))
         assert len(kernels) == 2
+
+    # the probe kernel cache: keyed by equality of the tree and the names
+
+    def test_equal_trees_compile_once(self, kernels):
+        text = "sin(x) * y - x^2 + 3 * log(y^2 + 1)"
+        first, second = ex.parse(text), ex.parse(text)
+        assert first is not second and first == second
+        ex._evaluate_scaled(first, ["x", "y"])
+        ex._evaluate_scaled(second, ["x", "y"])
+        assert len(kernels) == 1
+        assert ex.is_zero(ex.parse(f"{text} - y"), ex.ProbeConfig(points=3)) is False
+        assert ex.is_zero(ex.parse(f"{text} - y"), ex.ProbeConfig(points=5, seed=7)) is False
+        assert len(kernels) == 2  # the probe settings are not part of the key
+
+    def test_name_order_keys_apart(self, kernels):
+        e = ex.parse("x - 2 * y")
+        xy, yx = ex._evaluate_scaled(e, ["x", "y"]), ex._evaluate_scaled(e, ["y", "x"])
+        assert len(kernels) == 2
+        assert xy({"x": 1.0, "y": 0.25}) == (0.5, 2.0)
+        assert yx({"y": 1.0, "x": 0.25}) == (-1.75, 2.0)
+
+    def test_list_and_tuple_names_share_a_kernel(self, kernels):
+        e = ex.parse("x * y + 1")
+        ex._evaluate_scaled(e, ["x", "y"])
+        ex._evaluate_scaled(e, ("x", "y"))
+        assert len(kernels) == 1
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zeros_share_a_kernel(self, kernels, first):
+        # Const(0.0) == Const(-0.0): one kernel, whose value may differ from
+        # a tree's own in the sign of a zero, never in |value|, in the scale
+        # or in whether the point is out of domain
+        def tree(z):
+            zero, x = ex.Const(z), ex.Var("x")
+            return ex.Prod((zero, ex.Pow(ex.Sum((zero, x)), 0.5), ex.Call("log", x)))
+
+        trees = [tree(first), tree(-first)]
+        for x in (-1.5, 0.25, 2.0):
+            for e in trees:
+                at = ex._evaluate_scaled(e, ["x"])
+                try:
+                    expected = tree_walker.probe_value(e, {"x": x})
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        at({"x": x})
+                    continue
+                value, scale = at({"x": x})
+                assert (abs(value), scale) == (abs(expected[0]), expected[1])
+        assert len(kernels) == 1
+        drawn = [[(abs(v), s) for v, s in ex.probe_values(ex._evaluate_scaled(e, ["x"]), ["x"])]
+                 for e in trees]
+        assert drawn[0] == drawn[1] and len(kernels) == 1
+
+    def test_probe_cache_bound_is_the_constant(self):
+        assert ex._scaled.cache_info().maxsize == kernel.PROBED
 
 
 class TestHolonomyColumns:
