@@ -23,7 +23,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 from . import kernel
 from .errors import DomainError, EhresmannError, EvaluationError, ParseError, UnprobeableError
@@ -115,29 +115,60 @@ class Var(Expr):
     name: str
 
 
+class _Compound(Expr):
+    """Base of the nodes with children.  The one slot holds the node's
+    structural hash once :func:`hash` has computed it, so hashing a tree
+    walks each of its nodes once; like ``_normal`` it is not a dataclass
+    field, so equality, printing, copying and pickling ignore it."""
+
+    __slots__ = ("_hash",)
+
+
+def _hash_once(cls):
+    """Make the dataclass ``cls`` keep its generated hash in ``_hash``: the
+    same value, computed on the first :func:`hash` only."""
+    structural = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = structural(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class Sum(Expr):
+class Sum(_Compound):
     terms: tuple
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class Prod(Expr):
+class Prod(_Compound):
     factors: tuple
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class Pow(Expr):
+class Pow(_Compound):
     base: Expr
     exponent: float
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class Neg(Expr):
+class Neg(_Compound):
     arg: Expr
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class Call(Expr):
+class Call(_Compound):
     func: str
     arg: Expr
 
@@ -213,6 +244,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.leaves = {}  # (class, value or name) -> its one node in this parse
 
     def peek(self):
         return self.tokens[self.pos]
@@ -227,6 +259,12 @@ class _Parser:
         if token[0] != kind or (text is not None and token[1] != text):
             raise ParseError(f"expected {text or kind}, found {token[1]!r}", token[2])
         return self.advance()
+
+    def leaf(self, cls, value):
+        node = self.leaves.get((cls, value))
+        if node is None:
+            node = self.leaves[cls, value] = cls(value)
+        return node
 
     def parse(self):
         expr = self.additive()
@@ -286,7 +324,7 @@ class _Parser:
         token = self.peek()
         if token[0] == "number":
             self.advance()
-            return Const(token[1])
+            return self.leaf(Const, token[1])
         if token[0] == "lparen":
             self.advance()
             expr = self.additive()
@@ -301,7 +339,7 @@ class _Parser:
                 arg = self.additive()
                 self.expect("rparen", ")")
                 return Call(token[1], arg)
-            return Var(token[1])
+            return self.leaf(Var, token[1])
         raise ParseError(f"unexpected {token[1]!r}" if token[1] else "unexpected end of input", token[2])
 
 
@@ -691,22 +729,48 @@ def substitute(e: Expr, mapping) -> Expr:
 # shallow normalization
 
 
-def _sort_key(e):
-    if isinstance(e, Const):
-        return (0, e.value)
-    if isinstance(e, Var):
-        return (1, e.name)
-    if isinstance(e, Pow):
-        return (2, _sort_key(e.base), e.exponent)
-    if isinstance(e, Call):
-        return (3, e.func, _sort_key(e.arg))
-    if isinstance(e, Prod):
-        return (4, tuple(_sort_key(f) for f in e.factors))
-    if isinstance(e, Sum):
-        return (5, tuple(_sort_key(t) for t in e.terms))
-    if isinstance(e, Neg):
-        return (6, _sort_key(e.arg))
-    raise TypeError(f"not an expression: {e!r}")
+_RANK = {Const: 0, Var: 1, Pow: 2, Call: 3, Prod: 4, Sum: 5, Neg: 6}
+
+
+def _cmp(a, b):
+    """Three-way structural order of two nodes for :func:`functools.cmp_to_key`:
+    negative iff ``a`` sorts first, zero iff they tie.  It is the order of
+    the tuple keys (rank, then the children and fields in turn, a shorter
+    sum or product first), walked only down to the first difference.  Leaves
+    compare as tuple items do (``is``, then ``==``, then ``<``), so a NaN
+    ties only with the same float object and sorts neither before nor
+    after a number.  Never by ``hash``: a ``str`` hash is salted per
+    process, and the printed order must not be."""
+    if a is b:
+        return 0
+    kind, other = type(a), type(b)
+    if kind is not other:
+        return -1 if _RANK[kind] < _RANK[other] else 1
+    if kind is Const:
+        return _cmp_leaf(a.value, b.value)
+    if kind is Var:
+        return _cmp_leaf(a.name, b.name)
+    if kind is Pow:
+        return _cmp(a.base, b.base) or _cmp_leaf(a.exponent, b.exponent)
+    if kind is Call:
+        return _cmp_leaf(a.func, b.func) or _cmp(a.arg, b.arg)
+    if kind is Neg:
+        return _cmp(a.arg, b.arg)
+    xs, ys = (a.factors, b.factors) if kind is Prod else (a.terms, b.terms)
+    for x, y in zip(xs, ys):
+        order = _cmp(x, y)
+        if order:
+            return order
+    return _cmp_leaf(len(xs), len(ys))
+
+
+def _cmp_leaf(x, y):
+    if x is y or x == y:
+        return 0
+    return -1 if x < y else 1
+
+
+_ORDER = cmp_to_key(_cmp)
 
 
 def normalize(e: Expr) -> Expr:
@@ -822,8 +886,7 @@ def _normalize_product(factors, node=None):
         kept.append(factor)
     if not kept:
         return Const(coefficient)
-    if len(kept) > 1:  # sorting one node would still build its whole key
-        kept.sort(key=_sort_key)
+    kept.sort(key=_ORDER)
     if coefficient != 1.0:
         kept.insert(0, constant if constant.value == coefficient else Const(coefficient))
     if again:
@@ -877,8 +940,7 @@ def _normalize_sum(terms, node=None):
             # a coefficient that collapsed to 1 can expose a nested sum
             again = again or isinstance(term, Sum)
         kept.append(term)
-    if len(kept) > 1:
-        kept.sort(key=_sort_key)
+    kept.sort(key=_ORDER)
     if constant != 0.0:
         kept.append(constant_term if constant_term.value == constant else Const(constant))
     if again:

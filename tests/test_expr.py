@@ -5,8 +5,11 @@ Derivatives are checked against central finite differences (an independent
 numeric oracle); algebraic laws are checked with hypothesis-generated trees.
 """
 
+import copy
 import dataclasses
+import functools
 import math
+import operator
 import pickle
 import random
 
@@ -36,6 +39,15 @@ class TestParse:
         assert ex.parse("2.5") == ex.Const(2.5)
         assert ex.parse("1e3") == ex.Const(1000.0)
         assert ex.parse("1.5e-2") == ex.Const(0.015)
+
+    def test_leaves_shared_within_a_parse(self):
+        e = ex.parse("x*x + 2*x + 2")
+        leaves = [node for node in _subtrees(e) if isinstance(node, (ex.Const, ex.Var))]
+        assert len(leaves) == 5 and len(set(map(id, leaves))) == 2
+        squared, doubled = ex.Prod((ex.Var("x"), ex.Var("x"))), ex.Prod((ex.Const(2.0), ex.Var("x")))
+        apart = ex.Sum((squared, doubled, ex.Const(2.0)))
+        assert repr(e) == repr(apart)
+        assert ex.to_text(e) == "x * x + 2 * x + 2"
 
     def test_variables_and_functions(self):
         assert ex.parse("x1") == ex.Var("x1")
@@ -277,14 +289,26 @@ class TestSubstituteNormalize:
             assert ex.evaluate(n, {"x": x}) == pytest.approx(expected, rel=1e-12)
 
     def test_normal_form_is_remembered_but_invisible(self):
+        # and so is the hash that a compound node keeps
         e = ex.parse("x * y + sin(x)^2 - 3")
         before = repr(e), hash(e)
         n = ex.normalize(e)
         assert ex.normalize(e) is n and ex.normalize(n) is n
         assert (repr(e), hash(e)) == before
         assert [f.name for f in dataclasses.fields(e)] == ["terms"]
-        copied = pickle.loads(pickle.dumps(e))
-        assert copied == e and not hasattr(copied, "_normal")
+        for copied in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+            assert copied == e
+            assert not hasattr(copied, "_normal") and not hasattr(copied, "_hash")
+        # the dataclass hash of the fields, whichever node was hashed first
+        x, y = ex.Var("x"), ex.Var("y")
+        apart = ex.Sum((ex.Prod((x, y)), ex.Pow(ex.Call("sin", x), 2.0), ex.Neg(ex.Const(3.0))))
+        assert hash(apart.terms[1]) == hash((apart.terms[1].base, 2.0))
+        assert hash(apart) == hash(e) == hash((e.terms,))
+        assert hash(ex.Neg(ex.Const(-0.0))) == hash(ex.Neg(ex.ZERO))
+        for leaf in (x, ex.Const(-0.0)):
+            hash(leaf)
+            with pytest.raises(AttributeError):
+                object.__setattr__(leaf, "_hash", 0)
 
     def test_normalize_preserves_value(self):
         rng = random.Random(7)
@@ -531,3 +555,68 @@ def test_normalize_cold_equals_warm(e, seed):
     for node in nodes:
         ex.normalize(node)
     assert repr(ex.normalize(warm)) == repr(cold)
+
+
+def _sort_key(e):
+    """The nested tuple key by which terms and factors were once sorted: the
+    oracle of the order that ``expr._cmp`` gives lazily."""
+    if isinstance(e, ex.Const):
+        return (0, e.value)
+    if isinstance(e, ex.Var):
+        return (1, e.name)
+    if isinstance(e, ex.Pow):
+        return (2, _sort_key(e.base), e.exponent)
+    if isinstance(e, ex.Call):
+        return (3, e.func, _sort_key(e.arg))
+    if isinstance(e, ex.Prod):
+        return (4, tuple(_sort_key(f) for f in e.factors))
+    if isinstance(e, ex.Sum):
+        return (5, tuple(_sort_key(t) for t in e.terms))
+    if isinstance(e, ex.Neg):
+        return (6, _sort_key(e.arg))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+_NAN = math.nan
+
+
+def _order_trees():
+    """Trees over x and y with signed zeros, infinities and NaNs, one NaN
+    object shared and others fresh (a NaN ties with itself only), and
+    few enough shapes that trees share long prefixes."""
+    nan = st.just("nan").map(float)  # a fresh object each draw
+    return st.recursive(
+        st.one_of(
+            st.sampled_from([ex.Var("x"), ex.Var("y")]),
+            st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, -math.inf, _NAN]).map(ex.Const),
+            nan.map(ex.Const),
+        ),
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=1, max_size=3).map(lambda t: ex.Sum(tuple(t))),
+            st.lists(inner, min_size=1, max_size=3).map(lambda f: ex.Prod(tuple(f))),
+            inner.map(ex.Neg),
+            st.tuples(inner, st.one_of(st.sampled_from([2.0, -1.0, 0.5, _NAN]), nan)).map(
+                lambda p: ex.Pow(*p)
+            ),
+            st.tuples(st.sampled_from(["sin", "cos"]), inner).map(lambda p: ex.Call(*p)),
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees=st.lists(_order_trees(), min_size=2, max_size=8), seed=st.integers(0, 2**16))
+# a prefix sorts first, and -0.0 ties with 0.0
+@example(trees=[ex.Prod((_X, _Y, ex.Call("sin", _X))), ex.Sum((_X, _Y)), ex.Prod((_X, _Y)),
+                ex.Const(-0.0), ex.Const(0.0)], seed=0)
+# one NaN object ties with itself, so the second terms decide
+@example(trees=[ex.Sum((ex.Pow(_X, _NAN), ex.Call(f, _X))) for f in ("sin", "cos")], seed=0)
+def test_order_is_the_tuple_key_order(trees, seed):
+    """Sorting normalized trees, and equal trees built apart (a pickled
+    copy, whose floats are fresh objects), by ``expr._cmp`` gives the same
+    sequence of objects as sorting them by the old tuple keys."""
+    items = [ex.normalize(t) for t in trees]
+    items += pickle.loads(pickle.dumps(items))
+    random.Random(seed).shuffle(items)
+    by_cmp = sorted(items, key=functools.cmp_to_key(ex._cmp))
+    assert all(map(operator.is_, by_cmp, sorted(items, key=_sort_key)))
