@@ -512,14 +512,16 @@ def _generate(exprs, operands, prefix, env, moving=frozenset()):
     share one ``env`` with distinct prefixes.  Returns (lines, the operand
     holding each expression's value, the operands whose maximum |v| is the
     largest |v| over all nodes, the moving lines).  Every distinct operation
-    is one line, so a subtree that occurs twice is evaluated once; a line
-    that can leave the reals carries its message as a :data:`kernel.TAG`.
+    is one line, so a subtree that occurs twice is evaluated once, and a
+    node object met again is not walked again; a line that can leave the
+    reals carries its message as a :data:`kernel.TAG`.
     An operation with an operand in the set ``moving`` is moving: its
     variable is added to the set (so nothing moves by default), and its
     lines are also in the moving lines, in order."""
     env.update(_sin=math.sin, _cos=math.cos, _exp=math.exp, _log=math.log, _power=_power)
     lines, moved = [], []
     atoms = {}  # operation on operands -> variable holding its value
+    seen = {}  # id of a compound node walked before -> variable holding its value
     sizes = {}  # each variable and operation whose |v| enters the scale
     constants = [0.0]  # |c| of each constant, inf for a non-finite one
 
@@ -541,6 +543,8 @@ def _generate(exprs, operands, prefix, env, moving=frozenset()):
                 raise EvaluationError(f"unbound variable {e.name!r}")
             sizes[operands[e.name]] = True
             return operands[e.name]
+        if id(e) in seen:  # a shared subtree is walked once
+            return seen[id(e)]
         if isinstance(e, Sum):
             key = ("+",) + tuple(emit(t) for t in e.terms)
         elif isinstance(e, Prod):
@@ -564,6 +568,7 @@ def _generate(exprs, operands, prefix, env, moving=frozenset()):
                 moved.extend(statements)
             if key[0] != "-":  # a negation has its operand's size
                 sizes[v] = True
+        seen[id(e)] = atoms[key]
         return atoms[key]
 
     results = [emit(e) for e in exprs]

@@ -18,6 +18,7 @@ from .connection import (
     EhresmannConnection,
     VectorField,
     _Antisymmetric,
+    _same_chart,
     integral_section_residual,
 )
 from .errors import ChartError, NotLinearError, UnprobeableError
@@ -155,7 +156,10 @@ def _symbols(connection, probe):
     then replaced by its value at y = 0.  Any other entry, such as
     (y1^2)^0.5 = |y1|, keeps the scaling test Gamma(x, t y) = t Gamma(x, y)
     with an auxiliary scale variable t; its partials are probed the same
-    way, and replaced by their value at y = 0 where the two probe equal."""
+    way, and replaced by their value at y = 0 where the two probe equal.
+    A partial that still names a fiber coordinate after that, such as the
+    one of y1 * (y1^4)^0.25 * (y1^2)^-0.5, which has no value at y = 0,
+    makes the connection not linear."""
     chart = connection.chart
     fibers = chart.fiber_names
     origin = {name: ex.ZERO for name in fibers}
@@ -179,9 +183,11 @@ def _symbols(connection, probe):
                     return None
                 if left:
                     at_origin = ex.normalize(ex.substitute(symbol, origin))
-                    with suppress(UnprobeableError):  # keeps fibers, which Christoffel refuses
+                    with suppress(UnprobeableError):
                         if entire or ex.is_zero(symbol - at_origin, probe):
                             symbol = at_origin
+                    if symbol is not at_origin:  # no fiber-free value at y = 0
+                        return None
                 table[i][j][mu] = symbol
     return tuple(tuple(map(tuple, plane)) for plane in table)
 
@@ -232,10 +238,8 @@ def linear_to_ehresmann(symbols: Christoffel) -> EhresmannConnection:
 def covariant_derivative(symbols: Christoffel, Z, phi: Section) -> Section:
     """nabla_Z phi with components g^mu (d phi^i/dx^mu + Gamma^i_{j mu} phi^j)."""
     chart = symbols.chart
-    if phi.chart != chart:
-        raise ChartError("section lives on a different chart")
-    check_table(Z, (chart.m,), chart.base_names, "base vector field component")
     differential = covariant_differential(symbols, phi)
+    check_table(Z, (chart.m,), chart.base_names, "base vector field component")
     components = tuple(
         ex.normalize(
             ex.Sum(tuple(Z[mu] * differential[mu][i] for mu in range(chart.m)))
@@ -248,9 +252,8 @@ def covariant_derivative(symbols: Christoffel, Z, phi: Section) -> Section:
 def covariant_differential(symbols: Christoffel, phi: Section):
     """The m x n table (d phi^i/dx^mu + Gamma^i_{j mu} phi^j); contracting
     with a base vector field reproduces the covariant derivative."""
+    _same_chart(symbols, phi)
     chart = symbols.chart
-    if phi.chart != chart:
-        raise ChartError("section lives on a different chart")
     table = []
     for mu, x in enumerate(chart.base_names):
         row = []
@@ -268,10 +271,8 @@ def general_covariant_derivative(connection: EhresmannConnection, Z, phi: Sectio
     connection: components g^mu (d phi^i/dx^mu - Gamma^i_mu(x, phi(x))), the
     integral-section residual contracted with the base field."""
     chart = connection.chart
-    if phi.chart != chart:
-        raise ChartError("section lives on a different chart")
-    check_table(Z, (chart.m,), chart.base_names, "base vector field component")
     residual = integral_section_residual(connection, phi)
+    check_table(Z, (chart.m,), chart.base_names, "base vector field component")
     return tuple(
         ex.normalize(ex.Sum(tuple(Z[mu] * residual[i][mu] for mu in range(chart.m))))
         for i in range(chart.n)

@@ -82,18 +82,28 @@ def _component(field: VectorField, name):
 
 
 def _symbolic_det(matrix):
-    """Leibniz expansion; matrices here are at most m x m with m small."""
+    """Leibniz expansion, not normalized; a permutation that picks a
+    literal zero entry is left out, as its term would normalize to zero.
+    Matrices here are at most m x m with m small."""
     size = len(matrix)
     terms = []
     for perm in itertools.permutations(range(size)):
+        entries = [matrix[r][perm[r]] for r in range(size)]
+        if ex.ZERO in entries:  # equal to any zero constant, -0.0 too
+            continue
         sign = 1.0
         for a in range(size):
             for b in range(a + 1, size):
                 if perm[a] > perm[b]:
                     sign = -sign
-        factors = [ex.Const(sign)] + [matrix[r][perm[r]] for r in range(size)]
-        terms.append(ex.Prod(tuple(factors)))
-    return ex.normalize(ex.Sum(tuple(terms)))
+        terms.append(ex.Prod((ex.Const(sign), *entries)))
+    return ex.Sum(tuple(terms))
+
+
+def _minor(mv: Multivector, coords):
+    """Determinant of the factors' components along the coordinates
+    ``coords``, one row per coordinate."""
+    return _symbolic_det([[_component(factor, name) for factor in mv.factors] for name in coords])
 
 
 def contract(mv: Multivector, omega: MForm) -> ex.Expr:
@@ -101,13 +111,7 @@ def contract(mv: Multivector, omega: MForm) -> ex.Expr:
     term, the determinant of factor components along its coordinates."""
     if mv.chart != omega.chart:
         raise ChartError("multivector and form live on different charts")
-    total = []
-    for coords, coefficient in omega.terms:
-        matrix = [
-            [_component(factor, name) for factor in mv.factors]
-            for name in coords
-        ]
-        total.append(coefficient * _symbolic_det(matrix))
+    total = [coefficient * _minor(mv, coords) for coords, coefficient in omega.terms]
     return ex.normalize(ex.Sum(tuple(total)))
 
 
@@ -124,43 +128,11 @@ def is_transverse(mv: Multivector, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> 
     return all(abs(value) > probe.tol * (1.0 + scale) for value, scale in values)
 
 
-def _det(matrix):
-    """Determinant by LU elimination with partial pivoting."""
-    a = [list(row) for row in matrix]
-    size = len(a)
-    det = 1.0
-    for k in range(size):
-        p = max(range(k, size), key=lambda r: abs(a[r][k]))
-        if a[p][k] == 0.0:
-            return 0.0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            det = -det
-        pivot = a[k][k]
-        det *= pivot
-        for r in range(k + 1, size):
-            f = a[r][k] / pivot
-            for c in range(k + 1, size):
-                a[r][c] -= f * a[k][c]
-    return det
-
-
-def _plucker(matrix):
-    """Plücker coordinates of the rows of an m-row matrix: its m x m
-    minors, columns taken in lexicographic order."""
-    m = len(matrix)
-    return [
-        _det([[row[c] for c in columns] for row in matrix])
-        for columns in itertools.combinations(range(len(matrix[0])), m)
-    ]
-
-
-def _wedge(matrix, tol):
-    """Plücker coordinates of the factors' values at a point, one row per
-    factor, with the bound prod |X_i| on their size (Hadamard) as the scale
-    of the tolerance."""
-    p = _plucker(matrix)
-    scale = math.prod(math.hypot(*row) for row in matrix)
+def _wedge(p, rows, tol):
+    """The Plücker coordinates ``p`` of factors whose values at a point are
+    ``rows``, with the bound prod |X_i| on their size (Hadamard) as the
+    scale of the tolerance."""
+    scale = math.prod(math.hypot(*row) for row in rows)
     if not (math.isfinite(scale) and all(map(math.isfinite, p))):
         raise ex.DomainError("non-finite multivector component")
     if max(map(abs, p)) <= tol * (1.0 + scale):
@@ -181,14 +153,21 @@ def same_class(
         raise ChartError("multivectors live on different charts")
     tol, m = probe.tol, mv1.chart.m
     names = mv1.chart.coordinate_names  # each factor has one component per name
+    columns = list(itertools.combinations(names, m))  # in lexicographic order
+    # every component is evaluated, so a point is redrawn wherever one is
+    # out of domain, and the minors are sums of products of the components
     values = ex.compile_exprs(
-        [c for mv in (mv1, mv2) for factor in mv.factors for c in factor.components], names
+        [c for mv in (mv1, mv2) for factor in mv.factors for c in factor.components]
+        + [_minor(mv, coords) for mv in (mv1, mv2) for coords in columns],
+        names,
     )
+    width, size = len(names), 2 * m * len(names)
 
     def at(bindings):
         flat = values(*bindings.values())
-        rows = [flat[k:k + len(names)] for k in range(0, len(flat), len(names))]
-        return _wedge(rows[:m], tol), _wedge(rows[m:], tol)
+        rows = [flat[k:k + width] for k in range(0, size, width)]
+        p, q = flat[size:size + len(columns)], flat[size + len(columns):]
+        return _wedge(p, rows[:m], tol), _wedge(q, rows[m:], tol)
 
     pairs = ex.probe_values(at, names, probe)
     previous = 0.0

@@ -12,6 +12,7 @@ import dataclasses
 import gc
 import math
 import random
+import sys
 import weakref
 
 import pytest
@@ -165,6 +166,49 @@ class TestCompileExprs:
     def test_evaluate_takes_any_number_type(self):
         e = ex.parse("x^2 + y")
         assert repr(ex.evaluate(e, {"y": 1, "x": 3})) == repr(tree_walker.evaluate(e, {"y": 1, "x": 3}))
+
+    def test_shared_subtree_is_walked_once(self, monkeypatch):
+        # a subtree held by reference many times gives the source of fresh
+        # copies, and its inner nodes are walked once, however many times
+        # it is referenced
+        bodies = []
+        define = kernel.define
+
+        def recording(head, lines, env):
+            bodies.append(lines)
+            return define(head, lines, env)
+
+        def tree(subtrees):
+            return ex.Sum(tuple(ex.Prod((ex.Const(float(k)), t)) for k, t in enumerate(subtrees)))
+
+        def inside(e):  # the compound nodes below e
+            for value in (getattr(e, f.name) for f in dataclasses.fields(e)):
+                for child in value if isinstance(value, tuple) else (value,):
+                    if isinstance(child, ex._Compound):
+                        yield child
+                        yield from inside(child)
+
+        def inner_walks(shared, references):
+            inner, walks = {id(e) for e in inside(shared)}, []
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code.co_name == "emit":
+                    walks.extend([1] if id(frame.f_locals["e"]) in inner else [])
+
+            sys.setprofile(profile)
+            try:
+                compile_exprs([tree([shared] * references)], ["x", "y"])
+            finally:
+                sys.setprofile(None)
+            return len(walks)
+
+        monkeypatch.setattr(kernel, "define", recording)
+        source = "sin(x) * y - x^2 + 3"
+        shared = ex.parse(source)
+        compile_exprs([tree([shared] * 64)], ["x", "y"])
+        compile_exprs([tree([ex.parse(source) for _ in range(64)])], ["x", "y"])
+        assert bodies[0] == bodies[1]
+        assert inner_walks(shared, 64) == inner_walks(shared, 1) == len(list(inside(shared))) > 0
 
     def test_generate_leaves_no_cycle(self):
         # the source lines and env go when the call returns, not when the

@@ -187,10 +187,11 @@ class TestChristoffels:
         "source", ["y1 * (y1^4)^0.25 * (y1^2)^-0.5", "y1 * log(y1^4) * log(y1^2)^-1"]
     )
     def test_scaled_symbol_undefined_at_zero(self, source):
-        # linear, but -d/dy1 has no value at y1 = 0, so it keeps y1
+        # y1 away from y1 = 0, but -d/dy1 has no value there, so no
+        # fiber-free symbol exists: both verdicts say not linear
         conn = _connection(1, 1, [[source]])
-        assert is_linear(conn)
-        with pytest.raises(ChartError, match=r"uses coordinates \['y1'\] outside"):
+        assert not is_linear(conn)
+        with pytest.raises(NotLinearError):
             christoffels(conn)
 
     def test_base_only_enforced(self):

@@ -1,5 +1,6 @@
 """Decomposable multivector representatives and their class calculus."""
 
+import itertools
 import math
 import random
 
@@ -214,9 +215,31 @@ def _low_rank(rng, rows, cols, rank, scale=1.0):
     return [[sum(a * b[c] for a, b in zip(row, right)) for c in range(cols)] for row in left]
 
 
+def _const_frame(rows):
+    """Multivector on BundleChart.standard(m, n) whose i-th factor has the
+    constant components rows[i]."""
+    m = len(rows)
+    chart = BundleChart.standard(m, len(rows[0]) - m)
+    factors = tuple(
+        VectorField(chart, tuple(map(ex.Const, row[:m])), tuple(map(ex.Const, row[m:])))
+        for row in rows
+    )
+    return Multivector(chart, factors)
+
+
+def _leibniz(matrix):
+    """Every term of the Leibniz expansion, zero entries included."""
+    terms = []
+    for perm in itertools.permutations(range(len(matrix))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        entries = [row[c] for row, c in zip(matrix, perm)]
+        terms.append(ex.Prod((ex.Const((-1.0) ** inversions), *entries)))
+    return ex.Sum(tuple(terms))
+
+
 class TestLinearAlgebra:
-    """The pure-Python determinant (against numpy, a test dependency only)
-    and Plücker coordinates behind ``same_class``."""
+    """The symbolic determinant behind ``contract`` and the minors that
+    ``same_class`` evaluates, against numpy (a test dependency only)."""
 
     def test_det_matches_numpy(self):
         np = pytest.importorskip("numpy")
@@ -225,20 +248,45 @@ class TestLinearAlgebra:
             size = rng.randint(1, 5)
             rank = rng.choice([size, size, rng.randint(0, size)])
             matrix = _low_rank(rng, size, size, rank)
-            expected = np.linalg.det(np.array(matrix).reshape(size, size))
-            assert mvec._det(matrix) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            det = mvec._symbolic_det([[ex.Const(float(v)) for v in row] for row in matrix])
+            (value,) = ex.compile_exprs([det], [])()
+            expected = np.linalg.det(np.array(matrix, dtype=float).reshape(size, size))
+            # the Leibniz sum rounds each of its terms, bounded by the permanent
+            bound = math.prod(sum(map(abs, row)) for row in matrix)
+            assert value == pytest.approx(expected, rel=1e-9, abs=1e-13 * bound)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_plucker_scales_by_det(self, data):
-        # the minors of M.A are det(M) times those of A
-        assert mvec._plucker([[1.0, 0.0, 3.0], [0.0, 1.0, 5.0]]) == [1.0, 5.0, -3.0]
-        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+        # Cauchy-Binet: the minors of M.A are det(M) times those of A
+        def minors(rows):
+            mv = _const_frame(rows)
+            columns = itertools.combinations(mv.chart.coordinate_names, len(rows))
+            return ex.compile_exprs([mvec._minor(mv, c) for c in columns], [])()
+
+        assert minors([[1.0, 0.0, 3.0], [0.0, 1.0, 5.0]]) == [1.0, 5.0, -3.0]
+        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))  # a chart has a fiber
         entries = st.floats(-2.0, 2.0)
         A = [[data.draw(entries) for _ in range(m + n)] for _ in range(m)]
         M = [[data.draw(entries) for _ in range(m)] for _ in range(m)]
-        assume(abs(mvec._det(M)) > 1e-3)
+        (det,) = ex.compile_exprs([mvec._symbolic_det([list(map(ex.Const, r)) for r in M])], [])()
+        assume(abs(det) > 1e-3)
         MA = [[sum(M[r][k] * A[k][c] for k in range(m)) for c in range(m + n)] for r in range(m)]
-        expected = [mvec._det(M) * p for p in mvec._plucker(A)]
+        expected = [det * p for p in minors(A)]
         assert len(expected) == math.comb(m + n, m)
-        assert mvec._plucker(MA) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert minors(MA) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_zero_entries_keep_the_normal_form(self, size):
+        # leaving out the terms that pick a literal zero changes no normal
+        # form, whichever zeros the matrix holds
+        rng = random.Random(size)
+        pool = [ex.ZERO, ex.Const(-0.0), ex.ONE, ex.Const(2.5), ex.parse("x1"),
+                ex.parse("x1 * y1 - 1"), ex.parse("sin(x2)"), ex.parse("y1^2")]
+        for _ in range(40):
+            matrix = [[rng.choice(pool) for _ in range(size)] for _ in range(size)]
+            det = mvec._symbolic_det(matrix)
+            assert not any(
+                isinstance(f, ex.Const) and f.value == 0.0 for t in det.terms for f in t.factors
+            )
+            assert repr(ex.normalize(det)) == repr(ex.normalize(_leibniz(matrix)))
