@@ -187,26 +187,21 @@ def split_one_form(connection: EhresmannConnection, alpha: OneForm):
 
 
 def _curvature_components(connection: EhresmannConnection):
-    """((j, mu, nu), R^j_{mu nu}) for mu < nu in ``entries()`` order; the
-    partials of row j are taken when row j is reached."""
+    """((j, mu, nu), R^j_{mu nu}) for mu < nu in ``entries()`` order; a
+    partial is taken when a component first needs it, and remembered on its
+    Gamma entry for every later component and call."""
     chart = connection.chart
     gamma = connection.gamma
     x, y = chart.base_names, chart.fiber_names
+    d = ex.differentiate
     for j in range(chart.n):
-        # each partial once: d[mu, name] = d Gamma^j_mu / d name; no
-        # component needs d Gamma^j_mu / d x^mu, and none exists when m = 1
-        d = {
-            (mu, name): ex.differentiate(gamma[j][mu], name)
-            for mu in range(chart.m)
-            for name in chart.coordinate_names
-            if name != x[mu] and chart.m > 1
-        }
+        row = gamma[j]
         for mu in range(chart.m):
             for nu in range(mu + 1, chart.m):
-                terms = [d[nu, x[mu]], ex.Neg(d[mu, x[nu]])]
+                terms = [d(row[nu], x[mu]), ex.Neg(d(row[mu], x[nu]))]
                 for i in range(chart.n):
-                    terms.append(gamma[i][mu] * d[nu, y[i]])
-                    terms.append(ex.Neg(gamma[i][nu] * d[mu, y[i]]))
+                    terms.append(gamma[i][mu] * d(row[nu], y[i]))
+                    terms.append(ex.Neg(gamma[i][nu] * d(row[mu], y[i])))
                 yield (j, mu, nu), ex.normalize(ex.Sum(tuple(terms)))
 
 

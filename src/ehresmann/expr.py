@@ -116,12 +116,14 @@ class Var(Expr):
 
 
 class _Compound(Expr):
-    """Base of the nodes with children.  The one slot holds the node's
+    """Base of the nodes with children.  ``_hash`` holds the node's
     structural hash once :func:`hash` has computed it, so hashing a tree
-    walks each of its nodes once; like ``_normal`` it is not a dataclass
-    field, so equality, printing, copying and pickling ignore it."""
+    walks each of its nodes once; ``_derivs`` maps a variable name to the
+    node's derivative once :func:`differentiate` has taken it.  Like
+    ``_normal`` they are not dataclass fields, so equality, printing,
+    copying and pickling ignore them."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_derivs")
 
 
 def _hash_once(cls):
@@ -646,9 +648,26 @@ def _power(base, exponent):
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative; the result is normalized.  A tree free of
-    ``name`` gives :data:`ZERO` itself."""
-    d = _diff(e, name)
-    return ZERO if d is None else normalize(d)
+    ``name`` gives :data:`ZERO` itself.  The result is remembered on a
+    compound ``e``, keyed by the node object and not by equality, so a
+    repeated call returns the same tree and a tree holding ``Const(-0.0)``
+    never gets the derivative of one holding ``Const(0.0)``."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if e.name == name else ZERO
+    if not isinstance(e, _Compound):
+        raise TypeError(f"not an expression: {e!r}")
+    try:
+        derivs = e._derivs
+    except AttributeError:
+        derivs = {}
+        object.__setattr__(e, "_derivs", derivs)
+    out = derivs.get(name)
+    if out is None:
+        d = _diff(e, name)
+        out = derivs[name] = ZERO if d is None else normalize(d)
+    return out
 
 
 def _diff(e, name):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -147,7 +148,9 @@ def _loop(names, bounds, gamma, components, width, exact):
     then as the lines that move with the time, with the box check cut down
     to the coordinates that move.  A literal zero velocity component leaves
     its terms out of the contraction, as :func:`_gamma` leaves zero entries
-    out, and a literal one leaves out its factor (x * 1.0 is x).  ``exact``
+    out, and a literal one leaves out its factor (x * 1.0 is x); a Gamma
+    line that no kept term needs, and that cannot raise, is left out too
+    (:func:`_needed`).  ``exact``
     (the trees' repr) tells Const(-0.0) from Const(0.0) in the key."""
     m = len(names)
 
@@ -173,9 +176,12 @@ def _loop(names, bounds, gamma, components, width, exact):
          if r == rho and factors[nu] is not None]
         for rho in range(m)
     ]
+    needed = _needed(coefficients, {g[j] for row in rows for j, _, _ in row})
 
-    at = [*along, *kernel.box_check(point, bounds, point, "s"), *coefficients]
-    each = [*moving_along, *kernel.box_check(point, bounds, moving, "s"), *moving_coefficients]
+    at = [*along, *kernel.box_check(point, bounds, point, "s"),
+          *(line for line in coefficients if line in needed)]
+    each = [*moving_along, *kernel.box_check(point, bounds, moving, "s"),
+            *(line for line in moving_coefficients if line in needed)]
 
     def stage(X, k):
         # -(0.0 + g X v + ...) per component, summed in the order of ``entries``
@@ -187,6 +193,24 @@ def _loop(names, bounds, gamma, components, width, exact):
         return [f"{out} = -(0.0{terms})" for out, terms in zip(k, sums)]
 
     return kernel.compile_rk4(width, stage, env, at, each)
+
+
+_NAME = re.compile(r"[A-Za-z_]\w*")
+_CALL = re.compile(r"\w\(")
+
+
+def _needed(lines, read):
+    """The set of the generated assignments among ``lines`` that the names in
+    ``read`` need: a line is needed when a later needed line, or ``read``,
+    reads its target, or when it may raise, because it carries a
+    :data:`kernel.TAG` or calls a function (``_power`` of a non-finite
+    exponent raises untagged).  A needed line's message reads its fields."""
+    read, needed = set(read), set()
+    for line in reversed(lines):
+        if line.partition(" = ")[0] in read or kernel.TAG in line or _CALL.search(line):
+            needed.add(line)
+            read.update(_NAME.findall(line))
+    return needed
 
 
 def _gamma(gamma):

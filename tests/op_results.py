@@ -13,8 +13,17 @@ result changed between them, bit for bit:
     diff -u base.txt head.txt
 
 The optional arguments are the seed of ``transport-loop`` (default 13)
-and that of ``symbolic-verdicts`` (default the first).  The name keeps
-pytest from collecting it.
+and that of ``symbolic-verdicts`` (default the first).  With ``--warm``
+every operation is first run once, unprinted, on the same loaded models,
+and the second pass is printed; its output must equal the cold one, since
+no per-process memo (normal forms, derivatives, compiled kernels and RK4
+loops) may change a result:
+
+    PYTHONPATH=src python tests/op_results.py 13 31 > cold.txt
+    PYTHONPATH=src python tests/op_results.py --warm 13 31 > warm.txt
+    diff -u cold.txt warm.txt
+
+The name keeps pytest from collecting it.
 """
 
 import sys
@@ -34,7 +43,14 @@ ROUNDS = {
 }
 
 
-def main(transport_seed="13", symbolic_seed=None):
+def _outcome(op):
+    try:
+        return repr(op.run())
+    except Exception as err:  # the error is the result
+        return f"{type(err).__name__}: {err}"
+
+
+def main(transport_seed="13", symbolic_seed=None, warm=False):
     seeds = [int(transport_seed), int(symbolic_seed or transport_seed)]
     for workload, seed in zip(ROUNDS, seeds):
         files, specs = gen.workload_files(workload, seed)
@@ -45,14 +61,16 @@ def main(transport_seed="13", symbolic_seed=None):
                 path.write_text(text)
                 models[name] = model.load(path)
         sys.stdout.write(f"== {workload} seed {seed}\n")
-        for r, ops in enumerate(ROUNDS[workload](seed, models, specs)):
+        rounds = ROUNDS[workload](seed, models, specs)
+        if warm:
+            for ops in rounds:
+                for op in ops:
+                    _outcome(op)
+        for r, ops in enumerate(rounds):
             for k, op in enumerate(ops):
-                try:
-                    outcome = repr(op.run())
-                except Exception as err:  # the error is the result
-                    outcome = f"{type(err).__name__}: {err}"
-                sys.stdout.write(f"{r}.{k} {op.name}: {outcome}\n")
+                sys.stdout.write(f"{r}.{k} {op.name}: {_outcome(op)}\n")
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    args = sys.argv[1:]
+    main(*(arg for arg in args if arg != "--warm"), warm="--warm" in args)

@@ -12,8 +12,10 @@ import pytest
 
 from ehresmann import connection as cn
 from ehresmann import expr as ex
+from ehresmann import jetfield as jf
+from ehresmann import linear as ln
 from ehresmann import model
-from ehresmann.bundle import BundleChart, Section
+from ehresmann.bundle import BundleChart, JetChart, Section
 from ehresmann.connection import (
     EhresmannConnection,
     OneForm,
@@ -28,6 +30,7 @@ from ehresmann.connection import (
     split_vector_field,
 )
 from ehresmann.errors import ChartError, NotIntegrableError, OutsideChartError, UnprobeableError
+from ehresmann.jetfield import JetField2
 
 import tree_walker
 from conftest import PLANE, random_connection, random_polynomial
@@ -241,6 +244,48 @@ class TestResidual:
         phi = Section(conn.chart, (ex.parse("x1 * x2"),))
         table = integral_section_residual(conn, phi)
         assert not all(ex.is_zero(r) for row in table for r in row)
+
+
+def _jet_field(G_rows):  # a second-order field on J1 of the plane bundle
+    chart = JetChart(BundleChart.standard(2, 1))
+    F = ((ex.Var("y1_1"), ex.Var("y1_2")),)
+    return JetField2(chart, F, (tuple(tuple(map(ex.parse, row)) for row in G_rows),))
+
+
+class TestWarmDerivatives:
+    """A verdict asked again of the same objects takes no derivative: each
+    partial is remembered on the coefficient tree it was taken of."""
+
+    @pytest.fixture
+    def diffs(self, monkeypatch):
+        count = []
+        diff = ex._diff
+
+        def counting(e, name):
+            count.append(1)
+            return diff(e, name)
+
+        monkeypatch.setattr(ex, "_diff", counting)
+        return count
+
+    @pytest.mark.parametrize(
+        "verdict, build",
+        [
+            (cn.curvature, lambda: _connection(2, 2, [["y1 * x2", "x1 * y2^2"], ["sin(y1)", "y2 * y1"]])),
+            (cn.is_integrable, lambda: _connection(2, 1, [["y1 * x2", "x1 * y1^2"]])),
+            (cn.is_integrable, lambda: _connection(2, 1, [["x2 * y1", "x1 * y1"]])),  # flat
+            (jf.sopde_integrability_residuals, lambda: _jet_field([["x1 * y1_2", "y1"], ["y1^2", "x2 * y1_1"]])),
+            (ln.christoffels, lambda: _connection(2, 2, [["-2 * y1 * x2", "x1 * y2"], ["y1 + y2", "-sin(x1) * y2"]])),
+        ],
+        ids=["curvature", "is_integrable-curved", "is_integrable-flat", "sopde_integrability", "christoffels"],
+    )
+    def test_second_call_takes_no_derivative(self, verdict, build, diffs):
+        subject = build()
+        first = verdict(subject)
+        assert diffs
+        diffs.clear()
+        assert repr(verdict(subject)) == repr(first)
+        assert diffs == []
 
 
 class TestShift:

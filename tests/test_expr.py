@@ -310,6 +310,47 @@ class TestSubstituteNormalize:
             with pytest.raises(AttributeError):
                 object.__setattr__(leaf, "_hash", 0)
 
+    def test_derivative_is_remembered_but_invisible(self):
+        e = ex.parse("x * y + sin(x)^2 - 3")
+        before = repr(e), hash(e)
+        d = ex.differentiate(e, "x")
+        assert ex.differentiate(e, "x") is d and ex.differentiate(e, "y") is not d
+        assert ex.differentiate(e, "z") is ex.ZERO
+        assert (repr(e), hash(e)) == before and e == ex.parse("x * y + sin(x)^2 - 3")
+        assert [f.name for f in dataclasses.fields(e)] == ["terms"]
+        for copied in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+            assert copied == e and not hasattr(copied, "_derivs")
+            assert ex.differentiate(copied, "x") is not d and repr(ex.differentiate(copied, "x")) == repr(d)
+        for leaf in (ex.Var("x"), ex.Const(-0.0)):
+            assert ex.differentiate(leaf, "x") is (ex.ONE if leaf == ex.Var("x") else ex.ZERO)
+            with pytest.raises(AttributeError):
+                object.__setattr__(leaf, "_derivs", {})
+
+    def test_derivative_is_keyed_by_the_node(self):
+        # equal trees built apart, one holding -0.0: log(-0.0) is kept
+        # symbolic, so the sign of the zero survives into the derivative
+        plus, minus = (ex.Prod((ex.Var("x"), ex.Call("log", ex.Const(z)))) for z in (0.0, -0.0))
+        assert plus == minus and hash(plus) == hash(minus)
+        for pair in ((plus, minus), (minus, plus)):
+            trees = [_copy(e) for e in pair]
+            for e in trees + trees:
+                assert math.copysign(1.0, ex.differentiate(e, "x").arg.value) == math.copysign(
+                    1.0, e.factors[1].arg.value
+                )
+
+    def test_remembered_derivative_equals_dense(self):
+        rng = random.Random(2323)
+        for _ in range(60):
+            e = random_smooth(rng, ["x", "y"])
+            dense = {name: repr(ex.normalize(dense_diff.diff(_copy(e), name))) for name in "xy"}
+            for order in ("xyxy", "yxyx"):
+                tree = _copy(e)
+                got = {}
+                for name in order:
+                    d = ex.differentiate(tree, name)
+                    assert repr(d) == dense[name]
+                    assert got.setdefault(name, d) is d
+
     def test_normalize_preserves_value(self):
         rng = random.Random(7)
         for _ in range(50):

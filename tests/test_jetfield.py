@@ -146,9 +146,8 @@ class TestIntegrabilityResiduals:
         assert any(not ex.is_zero(v) for v in residuals.values())
 
     def test_larger_chart_against_fresh_partials(self):
-        # m = 3, n = 2: every residual equals the formula with each partial
-        # of G taken afresh, so no shared partial is read for the wrong
-        # entry or coordinate
+        # m = 3, n = 2: every residual equals the formula written out here,
+        # so no remembered partial is read for the wrong entry or coordinate
         rng = random.Random(5)
         chart = JetChart(BundleChart.standard(3, 2))
         names = list(chart.coordinate_names)

@@ -12,6 +12,7 @@ import dataclasses
 import gc
 import math
 import random
+import re
 import sys
 import weakref
 
@@ -622,6 +623,24 @@ class TestMovingGeometry:
         assert "* (0.0)" not in loop and "* (0.5)" in loop
         assert "_sin(" in loop  # th moves
         assert "(0.25)" not in loop  # the fixed ph has no box test
+
+    def test_meridian_loop_reads_every_coefficient(self, sphere, monkeypatch):
+        # the ph velocity is zero, so no stage reads Gamma^th_{ph ph} =
+        # -sin(th) * cos(th): neither it nor its -sin(th) is computed
+        lines = []
+        define = kernel.define
+
+        def recording(head, body, env):
+            lines.extend(body)
+            return define(head, body, env)
+
+        monkeypatch.setattr(kernel, "define", recording)
+        mc, curve = sphere.manifold_connections["levi_civita"], sphere.curves["meridian_arc"]
+        parallel_transport(mc, curve, [1.0, 0.0], 10)
+        source = "\n".join(lines)
+        assigned = set(re.findall(r"\b(g\d+) = ", source))
+        assert assigned and assigned <= set(re.findall(r"\b(g\d+)\b(?! = )", source))
+        assert "_sin(" in source and "_cos(" in source  # the tagged lines stay
 
     def test_section_loop_has_its_column_and_no_fixed_bound(self, sources):
         # y = exp(x1 * x2), swept along x1 with x2 held fixed as b1
