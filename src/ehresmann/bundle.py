@@ -21,6 +21,13 @@ def default_names(prefix, count):
     return tuple(f"{prefix}{k}" for k in range(1, count + 1))
 
 
+def free_name(name, taken):
+    """``name`` with ``_`` appended until it is not among ``taken``."""
+    while name in taken:
+        name += "_"
+    return name
+
+
 def jet_names(base_names, fiber_names):
     """Jet coordinate names y<i>_<mu> in (i outer, mu inner) order."""
     return tuple(
@@ -101,6 +108,14 @@ class BundleChart:
     @classmethod
     def standard(cls, m, n, box=None):
         return cls(default_names("x", m), default_names("y", n), box or {})
+
+    @classmethod
+    def tangent(cls, names, box=None):
+        """Chart of the tangent bundle over the manifold coordinates ``names``:
+        fiber velocities v1..vm, each made free of ``names`` by :func:`free_name`."""
+        names = tuple(names)
+        velocities = tuple(free_name(v, names) for v in default_names("v", len(names)))
+        return cls(names, velocities, box or {})
 
     @property
     def m(self):

@@ -241,7 +241,7 @@ def split_command(model, connection=None, manifold_connection=None, vector_text=
                     "vertical": _texts(v.components),
                 }
     if manifold_connection is not None:
-        m = manifold_connection.m
+        m = manifold_connection.chart.m
         if vector_text is None:
             raise EhresmannError("need --vector (2m components) with --manifold-connection")
         comps = _parse_list(vector_text, 2 * m, "--vector")
@@ -430,7 +430,7 @@ def covariant_command(model, christoffel=None, connection=None, manifold_connect
             raise EhresmannError("--connection mode needs --section and --field")
         Z = tuple(_parse_list(field_text, connection.chart.m, "--field"))
         return {"derivative": _texts(ln.general_covariant_derivative(connection, Z, section))}
-    m = manifold_connection.m
+    m = manifold_connection.chart.m
     if field_text is None or other_text is None or point_text is None:
         raise EhresmannError(
             "--manifold-connection mode needs --field, --other-field and --point"
@@ -459,7 +459,7 @@ def torsion_command(model, manifold_connection):
 @click.option("--csv", "csv_path", default=None, help="Write samples as CSV.")
 def transport_command(model, manifold_connection, curve, vector_text, steps, csv_path):
     """Parallel transport of a vector along a curve."""
-    u0 = _parse_list(vector_text, manifold_connection.m, "--vector", float)
+    u0 = _parse_list(vector_text, manifold_connection.chart.m, "--vector", float)
     result = tp.parallel_transport(manifold_connection, curve, u0, steps)
     if csv_path:
         result.write_csv(csv_path)
@@ -472,7 +472,7 @@ def holonomy_command(model, manifold_connection, curve, steps):
     """Holonomy matrix of a closed loop (plus the angle when m = 2)."""
     matrix = tp.holonomy(manifold_connection, curve, steps)
     report = {"steps": steps, "matrix": matrix}
-    if manifold_connection.m == 2:
+    if manifold_connection.chart.m == 2:
         report["angle"] = tp.rotation_angle(matrix)
     return report
 
@@ -485,13 +485,13 @@ def holonomy_command(model, manifold_connection, curve, steps):
               help="Base field to lift completely (m expressions).")
 def lift_command(model, manifold_connection, point_text, fiber_text, vector_text, field_text):
     """Horizontal lift of a tangent vector (and optional complete lift)."""
-    mc = manifold_connection
-    p = _parse_list(point_text, mc.m, "--point", float)
-    u = _parse_list(fiber_text, mc.m, "--fiber", float)
-    v = _parse_list(vector_text, mc.m, "--vector", float)
+    mc, m = manifold_connection, manifold_connection.chart.m
+    p = _parse_list(point_text, m, "--point", float)
+    u = _parse_list(fiber_text, m, "--fiber", float)
+    v = _parse_list(vector_text, m, "--vector", float)
     report = {"point": p, "horizontal_lift": tp.horizontal_lift_vector(mc, p, u, v)}
     if field_text is not None:
-        Y = tuple(_parse_list(field_text, mc.m, "--field"))
+        Y = tuple(_parse_list(field_text, m, "--field"))
         base, fiber = tp.complete_lift(mc, Y)
         report["complete_lift"] = _texts(base + fiber)
     return report

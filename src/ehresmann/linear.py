@@ -10,10 +10,10 @@ Gamma^rho_{mu nu}(x) (direction first, transported index second).
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import expr as ex
-from .bundle import BundleChart, Section, check_box, check_table, default_names
+from .bundle import BundleChart, Section, check_table, free_name
 from .connection import (
     EhresmannConnection,
     VectorField,
@@ -56,37 +56,24 @@ class Christoffel:
 
 @dataclass(frozen=True)
 class ManifoldConnection:
-    """Connection on an m-dimensional manifold chart: coefficients
-    gamma[rho][mu][nu] = Gamma^rho_{mu nu}(x) with mu the direction index
-    and nu the transported index."""
+    """Connection on a manifold chart, a linear connection on its tangent
+    bundle: ``chart`` is :meth:`BundleChart.tangent`, base x^mu and fiber
+    velocities v^mu, and gamma[rho][mu][nu] = Gamma^rho_{mu nu}(x) with mu
+    the direction index and nu the transported index."""
 
-    coordinate_names: tuple
+    chart: BundleChart
     gamma: tuple  # m x m x m
-    box: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        m = self.m
-        if len(set(self.coordinate_names)) != m:
-            raise ChartError("manifold coordinate names must be distinct")
-        check_table(self.gamma, (m, m, m), self.coordinate_names, "connection")
-        check_box(self.box, self.coordinate_names)
-
-    @property
-    def m(self):
-        return len(self.coordinate_names)
-
-    def bounds(self, name):
-        return self.box.get(name, (-1e18, 1e18))
-
-    def tangent_chart(self) -> BundleChart:
-        """Chart of the tangent bundle: base x^mu, fiber velocities v^mu."""
-        velocities = default_names("v", self.m)
-        return BundleChart(tuple(self.coordinate_names), velocities, dict(self.box))
+        chart = self.chart
+        if chart.n != chart.m:
+            raise ChartError("a manifold connection needs one velocity per coordinate")
+        check_table(self.gamma, (chart.m,) * 3, chart.base_names, "connection")
 
     def to_christoffel(self) -> Christoffel:
         """Reindex as Christoffel symbols of the tangent bundle:
         Gamma^i_{j mu} = Gamma^i_{mu j} (direction moves to the last slot)."""
-        m = self.m
+        m = self.chart.m
         table = tuple(
             tuple(
                 tuple(self.gamma[i][mu][j] for mu in range(m))
@@ -94,7 +81,7 @@ class ManifoldConnection:
             )
             for i in range(m)
         )
-        return Christoffel(self.tangent_chart(), table)
+        return Christoffel(self.chart, table)
 
     def to_ehresmann(self) -> EhresmannConnection:
         """Induced connection on the tangent bundle,
@@ -118,13 +105,6 @@ def liouville_field(chart: BundleChart) -> VectorField:
         tuple(ex.ZERO for _ in range(chart.m)),
         tuple(ex.Var(name) for name in chart.fiber_names),
     )
-
-
-def _scale_name(chart):
-    name = "tscale"
-    while name in chart.coordinate_names:
-        name += "_"
-    return name
 
 
 def _entire_in(e, fibers):
@@ -163,7 +143,7 @@ def _symbols(connection, probe):
     chart = connection.chart
     fibers = chart.fiber_names
     origin = {name: ex.ZERO for name in fibers}
-    t = ex.Var(_scale_name(chart))
+    t = ex.Var(free_name("tscale", chart.coordinate_names))
     scaling = {name: t * ex.Var(name) for name in fibers}
     table = [[[None] * chart.m for _ in fibers] for _ in fibers]
     for i, row in enumerate(connection.gamma):
@@ -176,10 +156,11 @@ def _symbols(connection, probe):
             if not vanishes:
                 return None
             for j, y in enumerate(fibers):
-                symbol = ex.normalize(ex.Neg(ex.differentiate(entry, y)))
+                partial = ex.differentiate(entry, y)  # its partials are remembered on it
+                symbol = ex.normalize(ex.Neg(partial))
                 free = ex.free_variables(symbol)
                 left = [name for name in fibers if name in free]
-                if not all(ex.is_zero(ex.differentiate(symbol, name), probe) for name in left):
+                if not all(ex.is_zero(ex.differentiate(partial, name), probe) for name in left):
                     return None
                 if left:
                     at_origin = ex.normalize(ex.substitute(symbol, origin))
@@ -299,7 +280,7 @@ def leibniz_residual(connection: EhresmannConnection, f, phi: Section, Z):
 
 def torsion(mc: ManifoldConnection) -> TorsionTensor:
     """T^mu_{rho eta} = Gamma^mu_{eta rho} - Gamma^mu_{rho eta}."""
-    m = mc.m
+    m = mc.chart.m
     components = {}
     for mu in range(m):
         for rho in range(m):
@@ -307,7 +288,7 @@ def torsion(mc: ManifoldConnection) -> TorsionTensor:
                 components[(mu, rho, eta)] = ex.normalize(
                     mc.gamma[mu][eta][rho] - mc.gamma[mu][rho][eta]
                 )
-    return TorsionTensor(tuple(mc.coordinate_names), components)
+    return TorsionTensor(tuple(mc.chart.base_names), components)
 
 
 def is_symmetric(mc: ManifoldConnection, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:

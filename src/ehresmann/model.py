@@ -29,8 +29,7 @@ __all__ = ["TABLES", "ModelFile", "load"]
 class ModelFile:
     path: str
     chart: BundleChart | None = None
-    manifold_names: tuple | None = None
-    manifold_box: dict = field(default_factory=dict)
+    manifold: BundleChart | None = None  # the tangent chart of the manifold block
     connections: dict = field(default_factory=dict)
     jetfields: dict = field(default_factory=dict)
     christoffels: dict = field(default_factory=dict)
@@ -127,7 +126,7 @@ def _curve(model, components, entry, where):
         raise ModelError(f"{where}.domain: expected [t0, t1]")
     periods = _mapping(entry.get("periods"), f"{where}.periods")
     return Curve(
-        model.manifold_names,
+        model.manifold.base_names,
         components,
         tuple(_number(t, f"{where}.domain") for t in domain),
         {str(k): _number(v, f"{where}.periods.{k}") for k, v in periods.items()},
@@ -143,7 +142,7 @@ TABLES = {
     "christoffels": ("bundle", ("gamma",), lambda m, g, *_: Christoffel(m.chart, g)),
     "manifold_connections": (
         "manifold", ("gamma",),
-        lambda m, g, *_: ManifoldConnection(m.manifold_names, g, dict(m.manifold_box)),
+        lambda m, g, *_: ManifoldConnection(m.manifold, g),
     ),
     "sections": ("bundle", ("components",), lambda m, phi, *_: Section(m.chart, phi)),
     "curves": ("manifold", ("components",), _curve, "domain", "periods"),
@@ -181,15 +180,16 @@ def load(path) -> ModelFile:
 
     if raw.get("manifold") is not None:
         manifold = _mapping(raw["manifold"], "manifold", ("coords", "box"))
-        model.manifold_names = _names(manifold.get("coords"), "x", "manifold.coords")
-        model.manifold_box = _box(manifold.get("box"), "manifold", model.manifold_names)
+        names = _names(manifold.get("coords"), "x", "manifold.coords")
+        box = _box(manifold.get("box"), "manifold", names)
+        model.manifold = _build("manifold", BundleChart.tangent, names, box)
 
     for kind, (block, keys, build, *optional) in TABLES.items():
         for name, entry in _mapping(raw.get(kind), kind).items():
             if not isinstance(name, str):
                 raise ModelError(f"{kind}: entry name {name!r} is not a string")
             where = f"{kind}.{name}"
-            if getattr(model, "chart" if block == "bundle" else "manifold_names") is None:
+            if getattr(model, "chart" if block == "bundle" else "manifold") is None:
                 raise ModelError(f"{where}: requires a {block} block")
             if entry is None:
                 raise ModelError(f"{where}: must be a mapping")

@@ -120,13 +120,13 @@ def _transport(mc, curve, y0, steps, record=None):
     values each, with step (T - t0)/steps; returns (step size, final state).
     The loop is compiled once per geometry by :func:`_loop`; the steps, the
     step size, t0 and y0 are its arguments."""
-    if tuple(curve.coordinate_names) != tuple(mc.coordinate_names):
+    if tuple(curve.coordinate_names) != tuple(mc.chart.base_names):
         raise ChartError("curve and connection use different coordinates")
     steps = check_number(steps, "steps", int)
     if steps < 1:
         raise ChartError("steps must be at least 1")
     names, gamma = _key(mc)
-    bounds = tuple(tuple(map(float, mc.bounds(name))) for name in names)
+    bounds = tuple(tuple(map(float, mc.chart.bounds(name))) for name in names)
     components = tuple(curve.components)
     run = _loop(names, bounds, gamma, components, len(y0), repr((gamma, components)))
     t0, t1 = map(float, curve.domain)
@@ -137,7 +137,7 @@ def _transport(mc, curve, y0, steps, record=None):
 def _key(mc):
     """The coordinate names and the Gamma table of ``mc`` as tuples, to key
     a cache of compiled functions."""
-    return tuple(mc.coordinate_names), tuple(tuple(map(tuple, plane)) for plane in mc.gamma)
+    return tuple(mc.chart.base_names), tuple(tuple(map(tuple, plane)) for plane in mc.gamma)
 
 
 @lru_cache(maxsize=kernel.CACHED)
@@ -234,8 +234,8 @@ def parallel_transport(
 ) -> TransportResult:
     """Transport the vector u0 along the curve; fixed-step RK4 with
     (T - t0)/steps."""
-    if len(u0) != mc.m:
-        raise ChartError(f"initial vector needs {mc.m} components")
+    if len(u0) != mc.chart.m:
+        raise ChartError(f"initial vector needs {mc.chart.m} components")
     u0 = [float(v) for v in u0]
     if not all(map(math.isfinite, u0)):
         raise ChartError("initial vector must be finite")
@@ -251,7 +251,7 @@ def holonomy(mc: ManifoldConnection, curve: Curve, steps=10_000):
     together as one ODE of m * m values."""
     if not curve.is_closed():
         raise ChartError("holonomy requires a closed curve")
-    m = mc.m
+    m = mc.chart.m
     identity = [1.0 if r == c else 0.0 for c in range(m) for r in range(m)]
     _, columns = _transport(mc, curve, identity, steps)
     return [[columns[c * m + r] for c in range(m)] for r in range(m)]
@@ -260,7 +260,7 @@ def holonomy(mc: ManifoldConnection, curve: Curve, steps=10_000):
 def horizontal_lift_vector(mc: ManifoldConnection, p, u, v):
     """Horizontal lift of the tangent vector v to the point (p, u) of the
     tangent bundle: the 2m components (v^rho, -Gamma^rho_{nu mu}(p) u^mu v^nu)."""
-    m = mc.m
+    m = mc.chart.m
     if len(p) != m or len(u) != m or len(v) != m:
         raise ChartError("point and vectors need m components each")
     if not all(map(math.isfinite, [*u, *v])):
@@ -275,8 +275,8 @@ def horizontal_lift_vector(mc: ManifoldConnection, p, u, v):
 
 
 def _check_point(mc: ManifoldConnection, p):
-    for name, value in zip(mc.coordinate_names, p):
-        low, high = mc.bounds(name)
+    for name, value in zip(mc.chart.base_names, p):
+        low, high = mc.chart.bounds(name)
         if not (low <= value <= high):  # a nan is outside too
             raise OutsideChartError(f"point outside the chart box: {name}={value}")
 
@@ -299,7 +299,7 @@ def hv_project_tm(mc: ManifoldConnection, base_components, fiber_components):
     H(W) = a^nu (d/dx^nu - Gamma^rho_{nu mu} v^mu d/dv^rho) and
     V(W) = (b^rho + a^nu Gamma^rho_{nu mu} v^mu) d/dv^rho.
     """
-    W = VectorField(mc.tangent_chart(), tuple(base_components), tuple(fiber_components))
+    W = VectorField(mc.chart, tuple(base_components), tuple(fiber_components))
     horizontal, vertical = split_vector_field(mc.to_ehresmann(), W)
     return (
         (horizontal.base_components, horizontal.fiber_components),
@@ -310,14 +310,13 @@ def hv_project_tm(mc: ManifoldConnection, base_components, fiber_components):
 def complete_lift(mc: ManifoldConnection, Y):
     """Complete lift of the base field Y to the tangent bundle:
     Y^nu d/dx^nu + (dY^rho/dx^mu) v^mu d/dv^rho."""
-    m = mc.m
-    check_table(Y, (m,), mc.coordinate_names, "base vector field component")
-    velocities = mc.tangent_chart().fiber_names
+    chart = mc.chart
+    check_table(Y, (chart.m,), chart.base_names, "base vector field component")
     fiber = []
-    for rho in range(m):
+    for rho in range(chart.m):
         terms = [
-            ex.differentiate(Y[rho], mc.coordinate_names[mu]) * ex.Var(velocities[mu])
-            for mu in range(m)
+            ex.differentiate(Y[rho], x) * ex.Var(v)
+            for x, v in zip(chart.base_names, chart.fiber_names)
         ]
         fiber.append(ex.normalize(ex.Sum(tuple(terms))))
     return tuple(Y), tuple(fiber)
@@ -334,16 +333,15 @@ def covariant_via_complete_lift(mc: ManifoldConnection, X, Y, p):
     exactly for torsion-free connections (they differ by the torsion
     contraction), so a symmetric connection is expected here.
     """
-    m = mc.m
+    m = mc.chart.m
     if len(X) != m or len(Y) != m or len(p) != m:
         raise ChartError("fields and point need m components each")
-    names, p = mc.coordinate_names, [float(value) for value in p]
+    names, p = mc.chart.base_names, [float(value) for value in p]
     _check_point(mc, p)
     base, fiber = complete_lift(mc, Y)
     _, vertical_part = hv_project_tm(mc, base, fiber)
     x_at_p = ex.compile_exprs(X, names)(*p)
-    tangent = mc.tangent_chart().coordinate_names  # (x, v)
-    lifted = ex.compile_exprs(vertical_part[1], tangent)(*p, *x_at_p)
+    lifted = ex.compile_exprs(vertical_part[1], mc.chart.coordinate_names)(*p, *x_at_p)
     symbols = mc.to_christoffel()
     section = covariant_derivative(symbols, X, Section(symbols.chart, tuple(Y)))
     direct = ex.compile_exprs(section.components, names)(*p)

@@ -113,19 +113,18 @@ def random_symmetric_manifold_connection(rng, m, degree=2):
         )
         for rho in range(m)
     )
-    return ManifoldConnection(names, gamma)
+    return ManifoldConnection(BundleChart.tangent(names), gamma)
 
 
 def sphere_connection():
     """Levi-Civita coefficients of the round sphere in (th, ph)."""
     g = ex.parse
     return ManifoldConnection(
-        ("th", "ph"),
+        BundleChart.tangent(("th", "ph"), {"th": (0.01, 3.13)}),
         (
             ((g("0"), g("0")), (g("0"), g("-sin(th) * cos(th)"))),
             ((g("0"), g("cos(th) / sin(th)")), (g("cos(th) / sin(th)"), g("0"))),
         ),
-        box={"th": (0.01, 3.13)},
     )
 
 

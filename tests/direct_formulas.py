@@ -19,10 +19,10 @@ def hv_project_tm(mc: ManifoldConnection, base_components, fiber_components):
     H(W) = a^nu (d/dx^nu - Gamma^rho_{nu mu} v^mu d/dv^rho) and
     V(W) = (b^rho + a^nu Gamma^rho_{nu mu} v^mu) d/dv^rho.
     """
-    m = mc.m
+    m = mc.chart.m
     if len(base_components) != m or len(fiber_components) != m:
         raise ChartError("need m base and m fiber components")
-    chart = mc.tangent_chart()
+    chart = mc.chart
     for comp in tuple(base_components) + tuple(fiber_components):
         chart.check_expression(comp, chart.coordinate_names, "TM field component")
     velocities = chart.fiber_names
@@ -50,12 +50,12 @@ def hv_project_tm(mc: ManifoldConnection, base_components, fiber_components):
 
 def covariant_derivative_direct(mc: ManifoldConnection, X, Y):
     """Components of nabla_X Y: (dY^rho/dx^nu + Gamma^rho_{nu mu} Y^mu) X^nu."""
-    m = mc.m
+    m = mc.chart.m
     out = []
     for rho in range(m):
         terms = []
         for nu in range(m):
-            inner = [ex.differentiate(Y[rho], mc.coordinate_names[nu])]
+            inner = [ex.differentiate(Y[rho], mc.chart.base_names[nu])]
             for mu in range(m):
                 inner.append(mc.gamma[rho][nu][mu] * Y[mu])
             terms.append(X[nu] * ex.Sum(tuple(inner)))

@@ -311,7 +311,7 @@ def test_criterion_08_torsion():
         )
         for _ in range(2)
     )
-    mc = ManifoldConnection(names, gamma)
+    mc = ManifoldConnection(BundleChart.tangent(names), gamma)
     T = torsion(mc)
     for mu in range(2):
         for rho in range(2):
@@ -327,7 +327,7 @@ def test_criterion_08_torsion():
     a, b = 2.0, 5.0
     zero = ex.ZERO
     mc = ManifoldConnection(
-        names,
+        BundleChart.tangent(names),
         (((zero, ex.Const(a)), (ex.Const(b), zero)),
          ((zero, zero), (zero, zero))),
     )
@@ -374,7 +374,7 @@ def test_criterion_10_complete_lift_identity():
     for _ in range(5):
         m = rng.randint(2, 3)
         mc = random_symmetric_manifold_connection(rng, m)
-        names = list(mc.coordinate_names)
+        names = list(mc.chart.base_names)
         X = tuple(random_polynomial(rng, names, 2, 2) for _ in range(m))
         Y = tuple(random_polynomial(rng, names, 2, 2) for _ in range(m))
         direct = direct_formulas.covariant_derivative_direct(mc, X, Y)

@@ -39,6 +39,14 @@ class TestBundleChart:
         assert chart.m == 2 and chart.n == 1
         assert chart.coordinate_names == ("x1", "x2", "y1")
 
+    def test_tangent(self):
+        # a velocity named like a coordinate takes _ until it is free
+        chart = BundleChart.tangent(["v1", "v1_", "x"], {"x": (0.0, 1.0)})
+        assert chart.base_names == ("v1", "v1_", "x")
+        assert chart.fiber_names == ("v1__", "v2", "v3")
+        assert chart.bounds("x") == (0.0, 1.0)
+        assert chart.bounds("v1") == chart.bounds("v2") == (-10.0, 10.0)
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ChartError):
             BundleChart(("x", "x"), ("y",))

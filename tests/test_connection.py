@@ -276,8 +276,10 @@ class TestWarmDerivatives:
             (cn.is_integrable, lambda: _connection(2, 1, [["x2 * y1", "x1 * y1"]])),  # flat
             (jf.sopde_integrability_residuals, lambda: _jet_field([["x1 * y1_2", "y1"], ["y1^2", "x2 * y1_1"]])),
             (ln.christoffels, lambda: _connection(2, 2, [["-2 * y1 * x2", "x1 * y2"], ["y1 + y2", "-sin(x1) * y2"]])),
+            (ln.is_linear, lambda: _connection(2, 1, [["x1 * y1^2", "y1"]])),  # a symbol with a fiber
         ],
-        ids=["curvature", "is_integrable-curved", "is_integrable-flat", "sopde_integrability", "christoffels"],
+        ids=["curvature", "is_integrable-curved", "is_integrable-flat", "sopde_integrability", "christoffels",
+             "is_linear-fiber-symbol"],
     )
     def test_second_call_takes_no_derivative(self, verdict, build, diffs):
         subject = build()

@@ -19,6 +19,7 @@ import random
 import pytest
 
 from ehresmann import expr as ex
+from ehresmann.bundle import BundleChart
 from ehresmann.connection import curvature, integral_section
 from ehresmann.linear import ManifoldConnection
 from ehresmann.model import load
@@ -39,13 +40,13 @@ def holonomy_quotient(mc, center, eps, steps=200):
         ex.Sum((ex.Const(c), ex.Prod((ex.Const(eps), ex.Call(f, ex.Var("t"))))))
         for c, f in zip(center, ("cos", "sin"))
     )
-    H = holonomy(mc, Curve(mc.coordinate_names, components, (0.0, TAU)), steps)
+    H = holonomy(mc, Curve(mc.chart.base_names, components, (0.0, TAU)), steps)
     return [[(H[r][s] - (r == s)) / (math.pi * eps**2) for s in range(2)] for r in range(2)]
 
 
 def curvature_matrix(mc, center):
     """K^rho_sigma(center) with R^rho_{12} = K^rho_sigma v^sigma."""
-    chart = mc.tangent_chart()
+    chart = mc.chart
     R = curvature(mc.to_ehresmann())
     point = (*center, 0.0, 0.0)
     return [
@@ -83,9 +84,8 @@ def polar_plane():
     """Levi-Civita connection of the flat plane in polar coordinates (r, a)."""
     g = ex.parse
     return ManifoldConnection(
-        ("r", "a"),
+        BundleChart.tangent(("r", "a"), {"r": (0.1, 10.0)}),
         (((g("0"), g("0")), (g("0"), g("-r"))), ((g("0"), g("1 / r")), (g("1 / r"), g("0")))),
-        box={"r": (0.1, 10.0)},
     )
 
 

@@ -43,6 +43,10 @@ from conftest import (
 
 pytestmark = pytest.mark.usefixtures("cold_kernels")  # compile counts are per test
 
+# a box wide enough that the one-try curves meet their domain error before
+# they leave it: exp(x1) along x1 = 800 * t overflows only past x1 = 709.8
+WIDE = {"x1": (-1e18, 1e18)}
+
 
 def _outcome(fn):
     """Values as reprs (so -0.0 and nan compare), or the error raised."""
@@ -251,7 +255,7 @@ class TestCompileExprs:
     def test_non_float_constants_in_transport(self):
         numpy = pytest.importorskip("numpy")
         c = ex.Const(numpy.float64(0.1))
-        mc = ManifoldConnection(("x1",), (((c,),),))
+        mc = ManifoldConnection(BundleChart.tangent(("x1",)), (((c,),),))
         curve = Curve(("x1",), (ex.Var("t"),))
         result = parallel_transport(mc, curve, [1.0], 20)
         assert result.vectors == reference_transport(mc, curve, [1.0], 20)[1]
@@ -321,7 +325,7 @@ class TestOneTry:
         ],
     )
     def test_transport_loop(self, gamma, component):
-        mc = ManifoldConnection(("x1",), (((_tree(gamma),),),))
+        mc = ManifoldConnection(BundleChart.tangent(("x1",), WIDE), (((_tree(gamma),),),))
         curve = Curve(("x1",), (_tree(component),), (0.0, 2.0))
         text = _domain_error_text(lambda: parallel_transport(mc, curve, [1.0], 10))
         assert text == _first_domain_error(mc, curve, 10)
@@ -338,7 +342,7 @@ class TestOneTry:
         ],
     )
     def test_holonomy_loop(self, gamma, component):
-        mc = ManifoldConnection(("x1",), (((_tree(gamma),),),))
+        mc = ManifoldConnection(BundleChart.tangent(("x1",), WIDE), (((_tree(gamma),),),))
         curve = Curve(("x1",), (_tree(component),), (0.0, TAU))
         text = _domain_error_text(lambda: holonomy(mc, curve, 12))
         assert text == _first_domain_error(mc, curve, 12)
@@ -368,7 +372,7 @@ def _first_domain_error(mc, curve, steps):
             for c in curve.components:
                 ex.evaluate(ex.differentiate(c, "t"), {"t": s})
             for e in entries:
-                ex.evaluate(e, dict(zip(mc.coordinate_names, point)))
+                ex.evaluate(e, dict(zip(mc.chart.base_names, point)))
         except DomainError as err:
             return str(err)
     raise AssertionError("no domain error along the curve")
@@ -379,13 +383,13 @@ def _first_domain_error(mc, curve, steps):
 
 
 def reference_transport(mc, curve, u0, steps):
-    names, m = mc.coordinate_names, mc.m
+    names, m = mc.chart.base_names, mc.chart.m
     velocity = [ex.differentiate(c, "t") for c in curve.components]
 
     def rhs(t, X):
         point = [tree_walker.evaluate(c, {"t": t}) for c in curve.components]
         for name, value in zip(names, point):
-            low, high = mc.box.get(name, (-1e18, 1e18))
+            low, high = mc.chart.bounds(name)
             if not (low <= value <= high):
                 raise OutsideChartError(f"curve leaves the chart box at t={t}")
         sigma_dot = [tree_walker.evaluate(c, {"t": t}) for c in velocity]
@@ -460,7 +464,7 @@ def reference_section(connection, x0, y0, targets, steps):
 
 
 def reference_holonomy(mc, curve, steps):
-    m = mc.m
+    m = mc.chart.m
     basis = [[1.0 if r == c else 0.0 for r in range(m)] for c in range(m)]
     columns = [reference_transport(mc, curve, e, steps)[1][-1] for e in basis]
     return [[columns[c][r] for c in range(m)] for r in range(m)]
@@ -525,7 +529,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("dim, seed", [(2, 601), (2, 602), (3, 603), (3, 604)])
     def test_random_connection(self, dim, seed, steps):
         mc = random_symmetric_manifold_connection(random.Random(seed), dim)
-        curve = Curve(mc.coordinate_names, tuple(map(ex.parse, LOOPS[dim])), (0.0, TAU))
+        curve = Curve(mc.chart.base_names, tuple(map(ex.parse, LOOPS[dim])), (0.0, TAU))
         for u0 in ([0.3, -1.1, 0.7][:dim], [-0.0, 2.0, -0.5][:dim]):  # cold, then warm
             result = parallel_transport(mc, curve, u0, steps)
             _same_bits((result.times, result.vectors), reference_transport(mc, curve, u0, steps))
@@ -534,8 +538,8 @@ class TestAgainstReference:
     @pytest.mark.parametrize("steps", [1, 2, 37])
     def test_zero_coefficients(self, steps):
         zero = ((ex.ZERO, ex.ZERO), (ex.ZERO, ex.ZERO))
-        mc = ManifoldConnection(("x1", "x2"), (zero, zero))
-        curve = Curve(mc.coordinate_names, tuple(map(ex.parse, LOOPS[2])), (0.0, TAU))
+        mc = ManifoldConnection(BundleChart.tangent(("x1", "x2")), (zero, zero))
+        curve = Curve(mc.chart.base_names, tuple(map(ex.parse, LOOPS[2])), (0.0, TAU))
         for u0 in ([0.0, -0.0], [-0.0, 0.0]):  # cold, then warm
             result = parallel_transport(mc, curve, u0, steps)
             _same_bits((result.times, result.vectors), reference_transport(mc, curve, u0, steps))
@@ -665,11 +669,11 @@ class TestMovingGeometry:
     )
     def test_constant_components(self, dim, seed, components, steps):
         mc = random_symmetric_manifold_connection(random.Random(seed), dim)
-        curve = Curve(mc.coordinate_names, tuple(map(ex.parse, components)), (0.0, TAU))
+        curve = Curve(mc.chart.base_names, tuple(map(ex.parse, components)), (0.0, TAU))
         for u0 in ([0.3, -1.1, 0.7][:dim], [-0.0, 2.0, -0.5][:dim]):  # cold, then warm
             result = parallel_transport(mc, curve, u0, steps)
             _same_bits((result.times, result.vectors), reference_transport(mc, curve, u0, steps))
-        closed = dataclasses.replace(curve, periods={mc.coordinate_names[0]: TAU})
+        closed = dataclasses.replace(curve, periods={mc.chart.base_names[0]: TAU})
         if closed.is_closed():
             _same_bits(holonomy(mc, closed, steps), reference_holonomy(mc, closed, steps))
 
@@ -708,7 +712,7 @@ class TestMovingGeometry:
         zero = ex.ZERO
         entry = _tree(gamma)
         table = (((entry, zero), (zero, entry)), ((zero, zero), (entry, zero)))
-        mc = ManifoldConnection(("x1", "x2"), table)
+        mc = ManifoldConnection(BundleChart.tangent(("x1", "x2")), table)
         curve = Curve(("x1", "x2"), tuple(map(_tree, components)), (0.0, 1.0))
         for steps in (10, 11):  # cold, then warm
             text = _domain_error_text(lambda: parallel_transport(mc, curve, [1.0, 0.5], steps))
@@ -717,12 +721,12 @@ class TestMovingGeometry:
 
 
 def reference_lift(mc, p, u, v):
-    bindings = dict(zip(mc.coordinate_names, p))
+    bindings = dict(zip(mc.chart.base_names, p))
     vertical = []
-    for rho in range(mc.m):
+    for rho in range(mc.chart.m):
         total = 0.0
-        for nu in range(mc.m):
-            for mu in range(mc.m):
+        for nu in range(mc.chart.m):
+            for mu in range(mc.chart.m):
                 total += tree_walker.evaluate(mc.gamma[rho][nu][mu], bindings) * u[mu] * v[nu]
         vertical.append(-total)
     return list(v) + vertical
@@ -768,7 +772,7 @@ class TestHorizontalLift:
         # Const(0.0) == Const(-0.0), but their products differ in sign
         for z in (0.0, -0.0, 0.0, -0.0):
             entry = ex.Prod((ex.Const(z), ex.Var("x1")))
-            mc = ManifoldConnection(("x1",), (((entry,),),))
+            mc = ManifoldConnection(BundleChart.tangent(("x1",)), (((entry,),),))
             _same_bits(horizontal_lift_vector(mc, [0.5], [1.0], [1.0]), reference_lift(mc, [0.5], [1.0], [1.0]))
         assert len(kernels) == 2
 
@@ -859,7 +863,8 @@ class TestCompileCounts:
         for other, curve in [
             (mc, lat60),  # m values, not the m * m of the holonomy
             (mc, arc),  # another curve
-            (dataclasses.replace(mc, box={"th": (0.01, 3.0)}), arc),  # another box
+            (dataclasses.replace(mc, chart=BundleChart.tangent(("th", "ph"), {"th": (0.01, 3.0)})),
+             arc),  # another box
             (sphere.manifold_connections["twisted"], arc),  # another Gamma
         ]:
             parallel_transport(other, curve, [1.0, 0.0], 10)
@@ -868,7 +873,8 @@ class TestCompileCounts:
 
     def test_list_tables_and_boxes(self, kernels):
         # lists are accepted wherever tuples are, and key the caches as tuples
-        mc = ManifoldConnection(["x1"], [[[ex.parse("0.1 * x1")]]], box={"x1": [-2.0, 2.0]})
+        tangent = BundleChart(["x1"], ["v1"], {"x1": [-2.0, 2.0]})
+        mc = ManifoldConnection(tangent, [[[ex.parse("0.1 * x1")]]])
         curve = Curve(["x1"], [ex.Var("t")])
         chart = BundleChart(["x1"], ["y1"], {"x1": [-2.0, 2.0]})
         conn = EhresmannConnection(chart, [[ex.parse("y1")]])
@@ -883,7 +889,7 @@ class TestCompileCounts:
         # Const(0.0) == Const(-0.0), but the two are different literals in a loop
         mc = random_symmetric_manifold_connection(random.Random(601), 2)
         for z in (0.0, -0.0, 0.0, -0.0):
-            curve = Curve(mc.coordinate_names, (ex.Const(z), ex.Var("t")))
+            curve = Curve(mc.chart.base_names, (ex.Const(z), ex.Var("t")))
             result = parallel_transport(mc, curve, [0.3, -1.1], 5)
             _same_bits((result.times, result.vectors), reference_transport(mc, curve, [0.3, -1.1], 5))
         assert len(kernels) == 2
@@ -953,7 +959,7 @@ class TestHolonomyColumns:
 
     def test_three_dimensional_columns(self):
         mc = random_symmetric_manifold_connection(random.Random(31), 3)
-        curve = Curve(mc.coordinate_names, tuple(
+        curve = Curve(mc.chart.base_names, tuple(
             ex.parse(s) for s in ("0.5 * cos(t)", "0.5 * sin(t)", "0.2 * sin(2 * t)")
         ), (0.0, TAU))
         matrix = holonomy(mc, curve, 200)

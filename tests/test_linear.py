@@ -283,7 +283,7 @@ class TestLeibniz:
 class TestManifoldConnection:
     def test_tangent_chart(self):
         mc = random_symmetric_manifold_connection(random.Random(1), 2)
-        chart = mc.tangent_chart()
+        chart = mc.chart
         assert chart.base_names == ("x1", "x2")
         assert chart.fiber_names == ("v1", "v2")
 
@@ -292,7 +292,7 @@ class TestManifoldConnection:
         zero = ex.ZERO
         g = ex.parse("x1")
         mc = ManifoldConnection(
-            ("x1", "x2"),
+            BundleChart.tangent(("x1", "x2")),
             (((zero, g), (zero, zero)), ((zero, zero), (zero, zero))),
         )
         conn = mc.to_ehresmann()
@@ -310,16 +310,20 @@ class TestManifoldConnection:
 
     def test_unknown_coordinate_rejected(self):
         with pytest.raises(ChartError):
-            ManifoldConnection(("x1",), (((ex.parse("q"),),),))
+            ManifoldConnection(BundleChart.tangent(("x1",)), (((ex.parse("q"),),),))
+
+    def test_chart_needs_one_velocity_per_coordinate(self):
+        with pytest.raises(ChartError, match="one velocity per coordinate"):
+            ManifoldConnection(BundleChart.standard(1, 2), (((ex.ZERO,),),))
 
     def test_box_unknown_coordinate(self):
         with pytest.raises(ChartError, match="unknown coordinate 'x2'"):
-            ManifoldConnection(("x1",), (((ex.ZERO,),),), {"x2": (0.0, 1.0)})
+            ManifoldConnection(BundleChart.tangent(("x1",), {"x2": (0.0, 1.0)}), (((ex.ZERO,),),))
 
     @pytest.mark.parametrize("bounds", [(1.0, -1.0), (0.0, math.nan), (-math.inf, 1.0)])
     def test_box_must_be_finite_interval(self, bounds):
         with pytest.raises(ChartError, match="finite low < high"):
-            ManifoldConnection(("x1",), (((ex.ZERO,),),), {"x1": bounds})
+            ManifoldConnection(BundleChart.tangent(("x1",), {"x1": bounds}), (((ex.ZERO,),),))
 
 
 class TestTorsion:
@@ -328,7 +332,7 @@ class TestTorsion:
         a, b = ex.Const(2.0), ex.Const(5.0)
         zero = ex.ZERO
         mc = ManifoldConnection(
-            ("x1", "x2"),
+            BundleChart.tangent(("x1", "x2")),
             (((zero, a), (b, zero)), ((zero, zero), (zero, zero))),
         )
         T = torsion(mc)
@@ -338,7 +342,7 @@ class TestTorsion:
     def test_antisymmetry(self):
         mc = random_symmetric_manifold_connection(random.Random(3), 2)
         shifted = ManifoldConnection(
-            mc.coordinate_names,
+            mc.chart,
             tuple(
                 tuple(
                     tuple(

@@ -76,11 +76,18 @@ class TestModelLoading:
 
     def test_sphere_model(self):
         model = load(SPHERE)
-        assert model.manifold_names == ("th", "ph")
+        assert model.manifold.base_names == ("th", "ph")
         assert set(model.manifold_connections) == {"levi_civita", "twisted"}
         assert set(model.curves) == {"equator", "lat60", "meridian_arc"}
         assert model.curves["equator"].is_closed()
         assert not model.curves["meridian_arc"].is_closed()
+
+    def test_manifold_box_defaults_like_bundle(self):
+        # ph has no box entry, so it reads the default box of a bundle chart
+        model = load(SPHERE)
+        assert model.manifold.bounds("th") == (0.01, 3.13)
+        assert model.manifold.bounds("ph") == (-10.0, 10.0)
+        assert model.manifold_connections["levi_civita"].chart == model.manifold
 
     def test_line_model(self):
         model = load(LINE)
@@ -368,6 +375,25 @@ class TestCliCommands:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == f"error: point outside the chart box: th={float(th)}\n"
+
+    def test_coordinate_named_like_a_velocity(self, runner, tmp_path):
+        # the tangent chart appends _ to the clashing velocity v1
+        path = tmp_path / "clash.yaml"
+        path.write_text(
+            "manifold: {coords: [v1, x]}\n"
+            "manifold_connections: {c: {gamma: [[[x, 0], [0, 0]], [[0, 0], [0, 0]]]}}\n"
+        )
+        assert load(str(path)).manifold.fiber_names == ("v1_", "v2")
+        split = ["split", "--model", str(path), "--manifold-connection", "c", "--vector", "1,0,0,0"]
+        result, out = run_case(runner, split, tmp_path, "split")
+        assert result.exit_code == 0, result.output
+        vertical = json.loads(out.read_text())["tangent"]["vertical"]
+        assert ex.is_zero(ex.parse(vertical[2]) - ex.parse("x * v1_"))
+        covariant = ["covariant", "--model", str(path), "--manifold-connection", "c",
+                     "--field", "1,0", "--other-field", "1,0", "--point", "0.5,0.25"]
+        result, out = run_case(runner, covariant, tmp_path, "covariant")
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["derivative"] == [0.25, 0.0]
 
     def test_power_overflow_exit_2(self, runner):
         result = runner.invoke(

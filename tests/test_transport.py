@@ -12,6 +12,8 @@ import random
 import pytest
 
 from ehresmann import expr as ex
+from ehresmann.bundle import BundleChart
+from ehresmann.connection import integral_section
 from ehresmann.errors import ChartError, EhresmannError, OutsideChartError
 from ehresmann.linear import ManifoldConnection, is_symmetric
 from ehresmann.transport import (
@@ -39,7 +41,7 @@ def flat_connection(m=2):
     names = tuple(f"x{k}" for k in range(1, m + 1))
     zero = ex.ZERO
     gamma = tuple(tuple(tuple(zero for _ in range(m)) for _ in range(m)) for _ in range(m))
-    return ManifoldConnection(names, gamma)
+    return ManifoldConnection(BundleChart.tangent(names), gamma)
 
 
 class TestCurve:
@@ -124,9 +126,7 @@ class TestParallelTransport:
         assert float(rows[-1][1]) == pytest.approx(result.final[0])
 
     def test_box_enforced(self):
-        mc = ManifoldConnection(
-            ("x1",), (((ex.ZERO,),),), box={"x1": (0.0, 0.5)}
-        )
+        mc = ManifoldConnection(BundleChart.tangent(("x1",), {"x1": (0.0, 0.5)}), (((ex.ZERO,),),))
         curve = Curve(("x1",), (ex.parse("t"),), (0.0, 1.0))
         with pytest.raises(OutsideChartError):
             parallel_transport(mc, curve, [1.0], steps=10)
@@ -223,8 +223,8 @@ class TestLifts:
         lifted = horizontal_lift_vector(mc, p, u, v)
         consts = [ex.Const(c) for c in lifted]
         _, (zeros, vertical) = hv_project_tm(mc, consts[:2], consts[2:])
-        bindings = dict(zip(mc.coordinate_names, p))
-        bindings.update(zip(mc.tangent_chart().fiber_names, u))
+        bindings = dict(zip(mc.chart.base_names, p))
+        bindings.update(zip(mc.chart.fiber_names, u))
         assert zeros == (ex.ZERO, ex.ZERO)
         for comp in vertical:
             assert abs(ex.evaluate(comp, bindings)) <= 1e-12
@@ -237,6 +237,18 @@ class TestLifts:
         with pytest.raises(OutsideChartError):
             horizontal_lift_vector(sphere_connection(), [5.0, 0.0], [1.0, 0.0], [1.0, 0.0])
 
+    def test_lift_and_induced_connection_share_the_box(self):
+        # a box-less chart reads the default box of +-10 on both routes
+        mc = flat_connection()
+        induced = mc.to_ehresmann()
+        assert induced.chart == mc.chart
+        with pytest.raises(OutsideChartError):
+            horizontal_lift_vector(mc, [20.0, 0.0], [1.0, 0.0], [1.0, 0.0])
+        with pytest.raises(OutsideChartError):
+            integral_section(induced, [20.0, 0.0], [1.0, 0.0], [[20.0, 1.0]])
+        assert horizontal_lift_vector(mc, [5.0, 0.0], [1.0, 0.0], [1.0, 0.0]) == [1.0, 0.0, 0.0, 0.0]
+        assert integral_section(induced, [5.0, 0.0], [1.0, 0.0], [[5.0, 1.0]]) == [[1.0, 0.0]]
+
     @pytest.mark.parametrize(
         "u, v",
         [([math.nan, 0.0], [1.0, 0.0]), ([1.0, 0.0], [0.0, math.inf]), ([-math.inf, 0.0], [math.nan, 1.0])],
@@ -247,7 +259,7 @@ class TestLifts:
 
     def test_splitting_reassembles(self):
         mc = random_symmetric_manifold_connection(random.Random(8), 2)
-        chart = mc.tangent_chart()
+        chart = mc.chart
         names = list(chart.coordinate_names)
         rng = random.Random(9)
         base = tuple(random_polynomial(rng, names, 2, 1) for _ in range(2))
@@ -276,16 +288,16 @@ class TestLifts:
         # sum a^nu Gamma^rho_{nu mu} v^mu, with and without torsion
         rng = random.Random(40 + 2 * m + twisted)
         mc = random_symmetric_manifold_connection(rng, m)
-        names = list(mc.coordinate_names)
+        names = list(mc.chart.base_names)
         if twisted:
             gamma = [[list(row) for row in plane] for plane in mc.gamma]
             for rho in range(m):
                 gamma[rho][0][1] = gamma[rho][0][1] + random_polynomial(rng, names, 2, 1)
-            mc = ManifoldConnection(mc.coordinate_names, tuple(
+            mc = ManifoldConnection(mc.chart, tuple(
                 tuple(tuple(row) for row in plane) for plane in gamma
             ))
         assert is_symmetric(mc) is not twisted
-        tangent = list(mc.tangent_chart().coordinate_names)
+        tangent = list(mc.chart.coordinate_names)
         base = tuple(random_polynomial(rng, tangent, 2, 1) for _ in range(m))
         fiber = tuple(random_polynomial(rng, tangent, 2, 1) for _ in range(m))
         got = hv_project_tm(mc, base, fiber)
@@ -307,7 +319,7 @@ class TestCovariantViaCompleteLift:
     def test_matches_direct_formula(self):
         rng = random.Random(12)
         mc = random_symmetric_manifold_connection(rng, 2)
-        names = list(mc.coordinate_names)
+        names = list(mc.chart.base_names)
         X = tuple(random_polynomial(rng, names, 2, 2) for _ in range(2))
         Y = tuple(random_polynomial(rng, names, 2, 2) for _ in range(2))
         direct = direct_formulas.covariant_derivative_direct(mc, X, Y)
@@ -324,7 +336,7 @@ class TestCovariantViaCompleteLift:
         zero = ex.ZERO
         one = ex.ONE
         mc = ManifoldConnection(
-            ("x1", "x2"),
+            BundleChart.tangent(("x1", "x2")),
             (((zero, one), (zero, zero)), ((zero, zero), (zero, zero))),
         )
         X = (ex.ONE, ex.ZERO)
