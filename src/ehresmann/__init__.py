@@ -27,7 +27,7 @@ from .connection import (
     split_one_form,
     split_vector_field,
 )
-from .expr import Expr, ProbeConfig, differentiate, evaluate, is_zero, parse, to_text
+from .expr import Expr, ProbeConfig, all_zero, differentiate, evaluate, is_zero, parse, to_text
 from .jetfield import (
     JetField2,
     as_connection_on_jet,

@@ -217,8 +217,9 @@ def prolong_jet_section(psi: JetSection):
 def holonomic_check(psi: JetSection, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:
     """True iff the jet part equals the derivative of the fiber part, i.e.
     psi is the prolongation of its own projection."""
-    return all(
-        ex.is_zero(psi.jet_components[i][mu] - ex.differentiate(psi.components[i], x), probe)
+    residuals = (
+        psi.jet_components[i][mu] - ex.differentiate(psi.components[i], x)
         for i in range(psi.chart.n)
         for mu, x in enumerate(psi.chart.base_names)
     )
+    return ex.all_zero(residuals, probe)

@@ -305,7 +305,7 @@ def residual_command(model, section, connection=None, jetfield=None):
         }
     return {
         "residuals": {label: ex.to_text(value) for label, value in residuals.items()},
-        "vanishes": all(ex.is_zero(value, model.probe) for value in residuals.values()),
+        "vanishes": ex.all_zero(residuals.values(), model.probe),
     }
 
 
@@ -356,9 +356,7 @@ def sopde_command(model, jetfield):
         residuals = jf.sopde_integrability_residuals(jetfield, model.probe)
         report["residuals"] = {label: ex.to_text(value) for label, value in residuals}
         report["residual_count"] = len(residuals)
-        report["integrable"] = all(
-            ex.is_zero(value, model.probe) for _, value in residuals
-        )
+        report["integrable"] = ex.all_zero((value for _, value in residuals), model.probe)
     return report
 
 
@@ -383,7 +381,7 @@ def linear_check_command(model, connection, f_text, section=None):
         "linear": ln.is_linear(connection, model.probe),
         "liouville": _texts(delta.components),
         "leibniz_residual": _texts(residual),
-        "leibniz_vanishes": all(ex.is_zero(r, model.probe) for r in residual),
+        "leibniz_vanishes": ex.all_zero(residual, model.probe),
     }
 
 
@@ -392,12 +390,12 @@ def christoffels_command(model, connection):
     """Christoffel symbols of a linear connection and the round-trip check."""
     symbols = ln.christoffels(connection, model.probe)
     rebuilt = ln.linear_to_ehresmann(symbols)
-    roundtrip = all(
-        ex.is_zero(a - b, model.probe)
+    differences = (
+        a - b
         for row_a, row_b in zip(connection.gamma, rebuilt.gamma)
         for a, b in zip(row_a, row_b)
     )
-    return {"symbols": _texts(symbols.gamma), "roundtrip": roundtrip}
+    return {"symbols": _texts(symbols.gamma), "roundtrip": ex.all_zero(differences, model.probe)}
 
 
 @command("covariant")

@@ -214,7 +214,7 @@ def curvature(connection: EhresmannConnection) -> CurvatureTensor:
 def is_integrable(connection: EhresmannConnection, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:
     """Zero curvature, decided componentwise by the probabilistic zero test;
     stops at the first component that does not vanish."""
-    return all(ex.is_zero(value, probe) for _, value in _curvature_components(connection))
+    return ex.all_zero((value for _, value in _curvature_components(connection)), probe)
 
 
 def integral_section_residual(connection: EhresmannConnection, phi: Section):

@@ -50,6 +50,7 @@ __all__ = [
     "substitute",
     "normalize",
     "is_zero",
+    "all_zero",
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp", "log")
@@ -1044,3 +1045,10 @@ def is_zero(e: Expr, probe: ProbeConfig = DEFAULT_PROBE) -> bool:
     names = sorted(free_variables(normalized))
     values = probe_values(_evaluate_scaled(normalized, names), names, probe)
     return all(abs(value) <= probe.tol * (1.0 + scale) for value, scale in values)
+
+
+def all_zero(exprs, probe: ProbeConfig = DEFAULT_PROBE) -> bool:
+    """True iff every expression of ``exprs`` vanishes by :func:`is_zero`,
+    decided in order and stopping at the first that does not; an empty
+    table vanishes.  Each entry is probed on its own, with its own draws."""
+    return all(is_zero(e, probe) for e in exprs)

@@ -82,11 +82,12 @@ def is_sopde(Y: JetField2, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:
     y^i_nu."""
     bundle = Y.chart.bundle
     jets = Y.chart.jet_coordinate_names
-    return all(
-        ex.is_zero(Y.F[i][nu] - ex.Var(jets[i * bundle.m + nu]), probe)
+    residuals = (
+        Y.F[i][nu] - ex.Var(jets[i * bundle.m + nu])
         for i in range(bundle.n)
         for nu in range(bundle.m)
     )
+    return ex.all_zero(residuals, probe)
 
 
 def _total_derivative(Y: JetField2, e, mu):

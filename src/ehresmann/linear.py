@@ -160,7 +160,7 @@ def _symbols(connection, probe):
                 symbol = ex.normalize(ex.Neg(partial))
                 free = ex.free_variables(symbol)
                 left = [name for name in fibers if name in free]
-                if not all(ex.is_zero(ex.differentiate(partial, name), probe) for name in left):
+                if not ex.all_zero((ex.differentiate(partial, name) for name in left), probe):
                     return None
                 if left:
                     at_origin = ex.normalize(ex.substitute(symbol, origin))
@@ -293,4 +293,4 @@ def torsion(mc: ManifoldConnection) -> TorsionTensor:
 
 def is_symmetric(mc: ManifoldConnection, probe: ex.ProbeConfig = ex.DEFAULT_PROBE) -> bool:
     """Torsion-free test: Gamma symmetric in its lower index pair."""
-    return all(ex.is_zero(value, probe) for _, _, _, value in torsion(mc).entries())
+    return ex.all_zero((value for _, _, _, value in torsion(mc).entries()), probe)

@@ -74,12 +74,14 @@ class Curve:
     def is_closed(self):
         """Whether the ends meet to CLOSURE_TOL per component, modulo periods."""
         start, end = map(self.point, self.domain)
+        if not all(map(math.isfinite, [*start, *end])):
+            raise ChartError(f"curve end points must be finite, got {start} and {end}")
         for name, a, b in zip(self.coordinate_names, start, end):
-            gap = abs(a - b)
+            gap = a - b  # inf when the difference of two finite ends overflows
             period = self.periods.get(name)
-            if period:
-                gap = abs(gap - period * round(gap / period))
-            if gap > CLOSURE_TOL:
+            if period and math.isfinite(gap):
+                gap = math.remainder(gap, period)
+            if abs(gap) > CLOSURE_TOL:
                 return False
         return True
 

@@ -407,6 +407,48 @@ class TestIsZero:
             ex.is_zero(ex.parse("log(-1 - x^2)"))
 
 
+class TestAllZero:
+    def test_stops_at_first_nonzero(self):
+        table = [ex.parse("x - x"), ex.parse("x^2 - y"), ex.parse("log(-1 - x^2)")]
+        consumed = []
+
+        def entries():
+            for e in table:
+                consumed.append(e)
+                yield e
+
+        # the unprobeable last entry is never reached
+        assert not ex.all_zero(entries())
+        assert consumed == table[:2]
+
+    def test_empty_table_vanishes(self):
+        assert ex.all_zero([])
+        assert ex.all_zero(iter(()))
+
+    def test_matches_is_zero_per_entry(self):
+        rng = random.Random(5)
+        identity = ex.parse("sin(x)^2 + cos(x)^2 - 1")
+        verdicts = set()
+        for _ in range(40):
+            table = [random_smooth(rng, ["x", "y"]) for _ in range(rng.randint(0, 3))]
+            table = [e if rng.random() < 0.3 else identity * e for e in table]
+            for seed in (0, 1, 7):
+                probe = ex.ProbeConfig(seed=seed)
+                verdict = ex.all_zero(table, probe)
+                assert verdict == all(ex.is_zero(e, probe) for e in table)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_one_is_zero_call_per_entry_decided(self, monkeypatch):
+        seen = []
+        is_zero = ex.is_zero
+        monkeypatch.setattr(ex, "is_zero", lambda e, probe: seen.append(e) or is_zero(e, probe))
+        table = [ex.parse("x - x"), ex.parse("sin(x)^2 + cos(x)^2 - 1"), ex.parse("y"),
+                 ex.parse("x")]
+        assert not ex.all_zero(table)
+        assert seen == table[:3]
+
+
 class TestProbeValues:
     def test_seeded_lazy_draws(self):
         probe = ex.ProbeConfig(points=4, seed=3)

@@ -217,6 +217,17 @@ class TestCliCommands:
         assert result.exit_code == 1
         assert json.loads(out.read_text())["sopde"] is False
 
+    def test_sopde_not_integrable(self, runner, tmp_path):
+        # a SOPDE whose integrability residuals do not all vanish still exits 0
+        result, out = run_case(
+            runner, ["sopde-check", "--model", PLANE, "--jetfield", "sopde_asym"],
+            tmp_path, "asym",
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        assert report["sopde"] is True
+        assert report["integrable"] is False
+
     def test_residual_failure_exit_code(self, runner, tmp_path):
         result, out = run_case(
             runner,
@@ -233,7 +244,9 @@ class TestCliCommands:
             tmp_path, "nonlin",
         )
         assert result.exit_code == 1
-        assert json.loads(out.read_text())["linear"] is False
+        report = json.loads(out.read_text())
+        assert report["linear"] is False
+        assert report["leibniz_vanishes"] is False
 
     def test_integral_section_value(self, runner, tmp_path):
         import math

@@ -66,6 +66,23 @@ class TestCurve:
         curve = Curve(("x1",), (ex.parse("t"),), (0.0, 1.0))
         assert not curve.is_closed()
 
+    @pytest.mark.parametrize("component", ["1e300 * 1e300 * t", "1e300 * 1e300 * (t + 1)"])
+    @pytest.mark.parametrize("periods", [{}, {"x1": TAU}])
+    def test_closure_refuses_nonfinite_end(self, component, periods):
+        # a NaN end (inf * 0 at t = 0) made round() raise ValueError with a
+        # period, and counted as closed without one; an infinite end likewise
+        curve = Curve(("x1",), (ex.parse(component),), (0.0, 1.0), periods)
+        with pytest.raises(ChartError):
+            curve.is_closed()
+
+    @pytest.mark.parametrize("component,period", [
+        ("1e300 * t", 1e-10),  # gap / period overflowed round() with OverflowError
+        ("1e308 * (2 * t - 1)", TAU),  # the difference of the finite ends overflows
+    ])
+    def test_closure_of_huge_gap_is_a_verdict(self, component, period):
+        curve = Curve(("x1",), (ex.parse(component),), (0.0, 1.0), {"x1": period})
+        assert curve.is_closed() in (True, False)
+
     def test_validation(self):
         with pytest.raises(ChartError):
             Curve(("x1", "x2"), (ex.parse("t"),))
