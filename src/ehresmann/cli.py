@@ -197,12 +197,13 @@ def prolong_command(model, section, second):
 @command("curvature")
 def curvature_command(model, connection):
     """Curvature components and the induced integrability verdict."""
+    entries = list(cn.curvature(connection).entries())
     return {
         "components": {
             f"R[{j + 1}][{mu + 1}][{nu + 1}]": ex.to_text(value)
-            for j, mu, nu, value in cn.curvature(connection).entries()
+            for j, mu, nu, value in entries
         },
-        "integrable": cn.is_integrable(connection, model.probe),
+        "integrable": ex.all_zero((value for *_, value in entries), model.probe),
     }
 
 
@@ -442,12 +443,13 @@ def covariant_command(model, christoffel=None, connection=None, manifold_connect
 @command("torsion")
 def torsion_command(model, manifold_connection):
     """Torsion components and the symmetry verdict."""
+    entries = list(ln.torsion(manifold_connection).entries())
     return {
         "components": {
             f"T[{mu + 1}][{rho + 1}][{eta + 1}]": ex.to_text(value)
-            for mu, rho, eta, value in ln.torsion(manifold_connection).entries()
+            for mu, rho, eta, value in entries
         },
-        "symmetric": ln.is_symmetric(manifold_connection, model.probe),
+        "symmetric": ex.all_zero((value for *_, value in entries), model.probe),
     }
 
 

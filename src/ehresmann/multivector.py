@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import expr as ex
+from . import kernel
 from .bundle import BundleChart
 from .connection import EhresmannConnection, VectorField, horizontal_frame
 from .errors import ChartError, EhresmannError
@@ -41,6 +44,8 @@ class Multivector:
                 f"need {self.chart.m} factors, got {len(self.factors)}"
             )
         for factor in self.factors:
+            if not isinstance(factor, VectorField):
+                raise ChartError(f"a factor must be a vector field, got {type(factor).__name__}")
             if factor.chart != self.chart:
                 raise ChartError("factors live on different charts")
 
@@ -74,13 +79,6 @@ def representative(connection: EhresmannConnection) -> Multivector:
     return Multivector(connection.chart, tuple(horizontal_frame(connection)))
 
 
-def _component(field: VectorField, name):
-    chart = field.chart
-    if name in chart.base_names:
-        return field.base_components[chart.base_names.index(name)]
-    return field.fiber_components[chart.fiber_names.index(name)]
-
-
 def _symbolic_det(matrix):
     """Leibniz expansion, not normalized; a permutation that picks a
     literal zero entry is left out, as its term would normalize to zero.
@@ -100,10 +98,11 @@ def _symbolic_det(matrix):
     return ex.Sum(tuple(terms))
 
 
-def _minor(mv: Multivector, coords):
+def _minor(factors, coords, names):
     """Determinant of the factors' components along the coordinates
-    ``coords``, one row per coordinate."""
-    return _symbolic_det([[_component(factor, name) for factor in mv.factors] for name in coords])
+    ``coords``, one row per coordinate; each factor is its tuple of
+    components, one per name of ``names``."""
+    return _symbolic_det([[factor[names.index(name)] for factor in factors] for name in coords])
 
 
 def contract(mv: Multivector, omega: MForm) -> ex.Expr:
@@ -111,7 +110,8 @@ def contract(mv: Multivector, omega: MForm) -> ex.Expr:
     term, the determinant of factor components along its coordinates."""
     if mv.chart != omega.chart:
         raise ChartError("multivector and form live on different charts")
-    total = [coefficient * _minor(mv, coords) for coords, coefficient in omega.terms]
+    names, factors = mv.chart.coordinate_names, [f.components for f in mv.factors]
+    total = [coefficient * _minor(factors, coords, names) for coords, coefficient in omega.terms]
     return ex.normalize(ex.Sum(tuple(total)))
 
 
@@ -140,6 +140,39 @@ def _wedge(p, rows, tol):
     return p, scale
 
 
+class _Trees:
+    """Trees as a cache key by identity: equal element by element by ``is``,
+    hashed by their ``id``s, and holding them, so that no ``id`` is reused
+    while the key lives.  Unlike ``==`` or ``repr``, it never hands a tree
+    holding Const(-0.0) the kernel of one holding Const(0.0)."""
+
+    def __init__(self, trees):
+        self.trees = trees
+
+    def __hash__(self):
+        return hash(tuple(map(id, self.trees)))
+
+    def __eq__(self, other):
+        mine, theirs = self.trees, other.trees
+        return len(mine) == len(theirs) and all(map(operator.is_, mine, theirs))
+
+
+@lru_cache(maxsize=kernel.CACHED)
+def _plucker(key, names):
+    """One compiled function of the component trees ``key`` of two
+    representatives (m factors each, one component per name) and of the
+    Plücker coordinates of each, its minors in lexicographic order.  Every
+    component is evaluated, so a point is redrawn wherever one is out of
+    domain.  The minors are built here from the components alone, so the
+    key decides the whole kernel."""
+    width = len(names)
+    factors = [key.trees[k:k + width] for k in range(0, len(key.trees), width)]
+    m = len(factors) // 2
+    columns = list(itertools.combinations(names, m))
+    minors = [_minor(mv, coords, names) for mv in (factors[:m], factors[m:]) for coords in columns]
+    return ex.compile_exprs([*key.trees, *minors], names)
+
+
 def same_class(
     mv1: Multivector,
     mv2: Multivector,
@@ -153,20 +186,14 @@ def same_class(
         raise ChartError("multivectors live on different charts")
     tol, m = probe.tol, mv1.chart.m
     names = mv1.chart.coordinate_names  # each factor has one component per name
-    columns = list(itertools.combinations(names, m))  # in lexicographic order
-    # every component is evaluated, so a point is redrawn wherever one is
-    # out of domain, and the minors are sums of products of the components
-    values = ex.compile_exprs(
-        [c for mv in (mv1, mv2) for factor in mv.factors for c in factor.components]
-        + [_minor(mv, coords) for mv in (mv1, mv2) for coords in columns],
-        names,
-    )
-    width, size = len(names), 2 * m * len(names)
+    trees = tuple(c for mv in (mv1, mv2) for factor in mv.factors for c in factor.components)
+    values = _plucker(_Trees(trees), names)
+    width, size, columns = len(names), 2 * m * len(names), math.comb(len(names), m)
 
     def at(bindings):
         flat = values(*bindings.values())
         rows = [flat[k:k + width] for k in range(0, size, width)]
-        p, q = flat[size:size + len(columns)], flat[size + len(columns):]
+        p, q = flat[size:size + columns], flat[size + columns:]
         return _wedge(p, rows[:m], tol), _wedge(q, rows[m:], tol)
 
     pairs = ex.probe_values(at, names, probe)

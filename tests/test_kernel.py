@@ -779,8 +779,9 @@ class TestHorizontalLift:
 
 class TestCompileCounts:
     """Each RK4 loop compiles once per geometry, each probe kernel once per
-    tree and names, each other numeric entry point once per call; loading a
-    model compiles nothing."""
+    tree and names, each class comparison once per pair of component trees,
+    each other numeric entry point once per call; loading a model compiles
+    nothing."""
 
     @pytest.fixture
     def compiles(self, monkeypatch):
@@ -827,6 +828,23 @@ class TestCompileCounts:
         assert same_class(flat, flat) and not same_class(flat, curved)
         assert len(compiles) == 2
 
+    def test_one_compile_per_pair_of_component_trees(self, compiles):
+        # representatives built again hold the same Gamma objects
+        connections = load(PLANE).connections
+        for _ in range(2):
+            assert not same_class(*(representative(connections[k]) for k in ("flat", "curved")))
+        assert len(compiles) == 1
+        reloaded = load(PLANE).connections  # equal trees, new objects
+        assert not same_class(*(representative(reloaded[k]) for k in ("flat", "curved")))
+        assert len(compiles) == 2
+
+    def test_signed_zero_representatives_compile_apart(self, compiles):
+        # Const(0.0) == Const(-0.0): a key by equality would share one kernel
+        chart = BundleChart.standard(2, 1)
+        for z in (0.0, -0.0):
+            rep = representative(EhresmannConnection(chart, ((ex.Const(z), ex.parse("x1")),)))
+            assert same_class(rep, rep) and same_class(rep, rep)
+        assert len(compiles) == 2
 
     def test_polynomial_fibers_decide_linearity_structurally(self, kernels):
         # Gamma(x, 0) folds to 0 and every fiber partial is fiber-free

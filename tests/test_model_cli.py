@@ -196,6 +196,27 @@ class TestCliCommands:
         assert report["integrable"] is False
         assert ex.is_zero(ex.parse(report["components"]["R[1][1][2]"]) - ex.parse("y1"))
 
+    @pytest.mark.parametrize("module,table,args", [
+        ("connection", "_curvature_components",
+         ["curvature", "--model", PLANE, "--connection", "curved"]),
+        ("linear", "torsion",
+         ["torsion", "--model", SPHERE, "--manifold-connection", "levi_civita"]),
+    ])
+    def test_verdict_from_the_printed_table(self, runner, tmp_path, monkeypatch, module, table,
+                                            args):
+        # the verdict is decided over the table the report prints, not a second one
+        calls = []
+        build = getattr(getattr(ehresmann, module), table)
+
+        def counting(*a):
+            calls.append(1)
+            return build(*a)
+
+        monkeypatch.setattr(getattr(ehresmann, module), table, counting)
+        result, _ = run_case(runner, args, tmp_path, table)
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
     def test_integrable_exit_codes(self, runner, tmp_path):
         ok, _ = run_case(
             runner, ["integrable", "--model", PLANE, "--connection", "flat"],
@@ -528,7 +549,8 @@ class TestCliCommands:
 class TestDispatchCoverage:
     def test_public_operations_reachable(self, runner, tmp_path):
         # every public operation of the computational modules is called by
-        # at least one conftest.CLI_CASES invocation
+        # at least one conftest.CLI_CASES invocation, except linear.is_symmetric:
+        # the torsion command decides symmetry over the table it prints
         surface = {
             "connection": [
                 "horizontal_frame", "split_vector_field", "split_one_form",
@@ -547,7 +569,7 @@ class TestDispatchCoverage:
                 "is_linear", "christoffels", "linear_to_ehresmann",
                 "covariant_derivative", "covariant_differential",
                 "general_covariant_derivative", "leibniz_residual",
-                "torsion", "is_symmetric", "liouville_field",
+                "torsion", "liouville_field",
             ],
             "transport": [
                 "parallel_transport", "holonomy", "horizontal_lift_vector",

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ehresmann import expr as ex
 from ehresmann import multivector as mvec
 from ehresmann.bundle import BundleChart
-from ehresmann.connection import EhresmannConnection, VectorField, horizontal_frame
+from ehresmann.connection import EhresmannConnection, OneForm, VectorField, horizontal_frame
 from ehresmann.errors import ChartError, EhresmannError, UnprobeableError
 from ehresmann.multivector import (
     MForm,
@@ -173,8 +173,9 @@ class TestSameClass:
         a = _basis_field(chart, "x1")
         degenerate = Multivector(chart, (a, a))
         good = representative(_connection(2, 1, [["0", "0"]]))
-        with pytest.raises(EhresmannError):
-            same_class(degenerate, good)
+        for _ in range(2):  # the second call runs the cached kernel
+            with pytest.raises(EhresmannError):
+                same_class(degenerate, good)
 
     def test_self_is_same_class(self):
         # the largest minor moves between points (x1^20 spans 1e-20..1e6);
@@ -194,6 +195,7 @@ class TestSameClass:
             conn.chart, (rep.factors[0].scale(ex.parse("x1")), rep.factors[1])
         )
         assert not same_class(rep, scaled)
+        assert not same_class(rep, scaled)  # the cached kernel decides alike
 
     def test_chart_mismatch(self):
         a = representative(_connection(2, 1, [["0", "0"]]))
@@ -201,12 +203,32 @@ class TestSameClass:
         with pytest.raises(ChartError):
             same_class(a, b)
 
+    def test_signed_zero_component_keeps_its_sign(self):
+        # the kernel is keyed by the identity of the component trees, so the
+        # Const(-0.0) entry is not handed the kernel of the equal Const(0.0)
+        chart = BundleChart.standard(2, 1)
+        for z in (0.0, -0.0):
+            rep = representative(EhresmannConnection(chart, ((ex.Const(z), ex.parse("x1")),)))
+            assert same_class(rep, rep)
+            trees = tuple(c for mv in (rep, rep) for f in mv.factors for c in f.components)
+            kernel = mvec._plucker(mvec._Trees(trees), chart.coordinate_names)
+            # the first factor's components are (1, 0, Gamma^1_1)
+            assert math.copysign(1.0, kernel(0.5, -0.3, 1.2)[2]) == math.copysign(1.0, z)
+
 
 class TestConstruction:
     def test_factor_count_checked(self):
         chart = BundleChart.standard(2, 1)
         with pytest.raises(ChartError):
             Multivector(chart, (_basis_field(chart, "x1"),))
+
+    def test_factors_must_be_vector_fields(self):
+        # a covector used to pass, and same_class then read it as a vector
+        chart = BundleChart.standard(1, 1)
+        with pytest.raises(ChartError, match="vector field, got OneForm"):
+            Multivector(chart, (OneForm(chart, (ex.ONE,), (ex.ZERO,)),))
+        with pytest.raises(ChartError, match="vector field, got str"):
+            Multivector(chart, ("x",))
 
 
 def _low_rank(rng, rows, cols, rank, scale=1.0):
@@ -261,8 +283,9 @@ class TestLinearAlgebra:
         # Cauchy-Binet: the minors of M.A are det(M) times those of A
         def minors(rows):
             mv = _const_frame(rows)
-            columns = itertools.combinations(mv.chart.coordinate_names, len(rows))
-            return ex.compile_exprs([mvec._minor(mv, c) for c in columns], [])()
+            names, factors = mv.chart.coordinate_names, [f.components for f in mv.factors]
+            columns = itertools.combinations(names, len(rows))
+            return ex.compile_exprs([mvec._minor(factors, c, names) for c in columns], [])()
 
         assert minors([[1.0, 0.0, 3.0], [0.0, 1.0, 5.0]]) == [1.0, 5.0, -3.0]
         m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))  # a chart has a fiber
